@@ -17,7 +17,7 @@ from .census import (CensusReport, build_report, count_generating_orbits,
 from .gfield import Field, ResourceLimitError, make_field
 from .oracle import (OrbitRec, enumerate_orbits, fused_records, galois_fuse,
                      generated_level, is_reflexible, orbit_records,
-                     self_duality, selfdual_table)
+                     self_duality, selfdual_cells)
 from .twisted_group import TwElem, conjugate, group_order, identity, order
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
     "enumerate_orbits", "fused_records", "galois_fuse", "generated_level",
     "group_order", "identity", "is_exceptional", "is_reflexible",
     "make_field", "map_type", "orbit_counts", "orbit_records", "order",
-    "reflexible_orbit_counts", "self_duality", "selfdual_table",
+    "reflexible_orbit_counts", "self_duality", "selfdual_cells",
     "stabilizer_elements", "stabilizer_size", "total_orbits",
     "total_reflexible_orbits", "twisted_conjugate_test", "twisted_divisors",
     "type_obstruction",

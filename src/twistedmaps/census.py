@@ -17,27 +17,22 @@ Reflexible maps admit the same treatment with total (q^2-1)(3q-2)/8.
 
 from dataclasses import dataclass
 
-from .numth import divisors, is_prime, mobius, odd_part
+from .numth import divisors, is_prime, mobius, odd_part, odd_prime_power
 from .twisted_group import order as element_order
-
-
-def _check_q(q):
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"q must be an odd prime power >= 3, got {q}")
 
 
 def n_F(q):
     """For a fixed non-square v of GF(q^2), the number of non-squares u != v
     with u - v a square.  Independent of the choice of v; feeds the
     exceptional-class corrections below."""
-    _check_q(q)
+    odd_prime_power(q)
     return (q * q - 1) // 4
 
 
 def orbits_per_class(form, exceptional, q):
     """Number of stabilizer-orbits of admissible pairs against one canonical
     class of the given form."""
-    _check_q(q)
+    odd_prime_power(q)
     if form == "dia":
         full = (q + 1) * (q * q - 3)
     elif form == "off":
@@ -52,7 +47,7 @@ def orbits_per_class(form, exceptional, q):
 def orbit_counts(q):
     """Pair-orbit counts split by class kind; the grand total is the
     polynomial (q^2-1)(q^2-2)/8 independent of the residue of q mod 4."""
-    _check_q(q)
+    odd_prime_power(q)
     dia_classes = (q - 1) // 4   # generic dia classes (floor)
     off_classes = (q + 1) // 4   # generic off classes (floor)
     counts = {
@@ -66,14 +61,14 @@ def orbit_counts(q):
 
 
 def total_orbits(q):
-    _check_q(q)
+    odd_prime_power(q)
     return (q * q - 1) * (q * q - 2) // 8
 
 
 def reflexible_orbit_counts(q):
     """Reflexible pair-orbit counts, split by class form and by whether the
     reversing conjugator carries the twist bit."""
-    _check_q(q)
+    odd_prime_power(q)
     counts = {
         "dia_plain": (q * q - 1) * (q - 2) // 8,
         "dia_twisted": (q * q - 1) * (q - 1) // 16,
@@ -87,7 +82,7 @@ def reflexible_orbit_counts(q):
 
 
 def total_reflexible_orbits(q):
-    _check_q(q)
+    odd_prime_power(q)
     return (q * q - 1) * (3 * q - 2) // 8
 
 
@@ -152,10 +147,7 @@ def map_type(pair):
 
 
 # ---------------------------------------------------------------------------
-# serializable census report
-
-SCHEMA_VERSION = 1
-
+# census report
 
 @dataclass
 class CensusReport:
@@ -168,45 +160,6 @@ class CensusReport:
     maps: int
     reflexible_generating_orbits: int
     reflexible_maps: int
-
-    def to_json_dict(self):
-        def enc(v):
-            if isinstance(v, dict):
-                return {k: enc(u) for k, u in v.items()}
-            return str(v)
-
-        return {
-            "schema": str(SCHEMA_VERSION),
-            "p": str(self.p),
-            "f": str(self.f),
-            "q": str(self.q),
-            "orbit_counts": enc(self.orbit_counts),
-            "reflexible_orbit_counts": enc(self.reflexible_orbit_counts),
-            "generating_orbits": str(self.generating_orbits),
-            "maps": str(self.maps),
-            "reflexible_generating_orbits": str(self.reflexible_generating_orbits),
-            "reflexible_maps": str(self.reflexible_maps),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        if int(d.get("schema", -1)) != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema {d.get('schema')}")
-
-        def dec(v):
-            if isinstance(v, dict):
-                return {k: dec(u) for k, u in v.items()}
-            return int(v)
-
-        return cls(
-            p=int(d["p"]), f=int(d["f"]), q=int(d["q"]),
-            orbit_counts=dec(d["orbit_counts"]),
-            reflexible_orbit_counts=dec(d["reflexible_orbit_counts"]),
-            generating_orbits=int(d["generating_orbits"]),
-            maps=int(d["maps"]),
-            reflexible_generating_orbits=int(d["reflexible_generating_orbits"]),
-            reflexible_maps=int(d["reflexible_maps"]),
-        )
 
 
 def build_report(p, f):

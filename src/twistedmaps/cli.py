@@ -1,14 +1,13 @@
 """Batch front end: census computation, formula-vs-oracle verification,
-self-duality tables, orbit listings, and a persistent result cache.
+self-duality tables and orbit listings.
 
 Exit codes: 0 success / all comparisons pass, 1 at least one mismatch,
 2 usage error, 3 resource guard tripped.  Output is deterministic for a
-fixed invocation, independent of thread count and cache state.
+fixed invocation.
 """
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from . import census, oracle
 from .canonical import all_classes, is_exceptional
 from .gfield import ResourceLimitError, make_field
-from .numth import divisors, is_prime, mobius, odd_part, prime_power
+from .numth import divisors, is_prime, mobius, odd_part, odd_prime_power
 
 # q at or below which full enumeration commands run by default;
 # verify --level bruteforce is stricter (see BRUTE_BOUND) because it adds
@@ -31,20 +30,11 @@ MAX_Q = 10 ** 6        # declared parameter range for verify
 class RunConfig:
     command: str
     fmt: str
-    cache_dir: str
-    threads: int
     seed: int
 
 
 # ---------------------------------------------------------------------------
 # input validation
-
-def _odd_prime_power(q):
-    pp = prime_power(q)
-    if pp is None or pp[0] == 2:
-        raise ValueError("q must be a power of an odd prime, got %d" % q)
-    return pp
-
 
 def _verify_q(q):
     if q > MAX_Q:
@@ -52,40 +42,7 @@ def _verify_q(q):
             "q=%d is outside the supported range (3 <= q <= %d)" % (q, MAX_Q))
     if q < 3:
         raise ValueError("q must be at least 3, got %d" % q)
-    return _odd_prime_power(q)
-
-
-# ---------------------------------------------------------------------------
-# result cache: one JSON document per (p, f)
-
-def _cache_path(cache_dir, p, f):
-    return os.path.join(cache_dir, "census_p%d_f%d.json" % (p, f))
-
-
-def _cache_load(cache_dir, p, f):
-    path = _cache_path(cache_dir, p, f)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    if doc.get("schema") != str(census.SCHEMA_VERSION):
-        print("note: ignoring cache with unknown schema at %s" % path,
-              file=sys.stderr)
-        return {}
-    return doc
-
-
-def _cache_store(cache_dir, p, f, doc):
-    os.makedirs(cache_dir, exist_ok=True)
-    doc = dict(doc)
-    doc["schema"] = str(census.SCHEMA_VERSION)
-    path = _cache_path(cache_dir, p, f)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    return odd_prime_power(q)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +114,7 @@ def cmd_count(cfg, args):
     if f < 1:
         raise ValueError("f must be a positive integer, got %d" % f)
 
-    report = None
-    doc = _cache_load(cfg.cache_dir, p, f) if cfg.cache_dir else {}
-    if "census" in doc:
-        report = census.CensusReport.from_json_dict(doc["census"])
-    if report is None:
-        report = census.build_report(p, f)
-        if cfg.cache_dir:
-            doc["census"] = report.to_json_dict()
-            _cache_store(cfg.cache_dir, p, f, doc)
-
+    report = census.build_report(p, f)
     q = p ** f
     alpha, o = odd_part(f)
     lattice = []
@@ -262,61 +210,50 @@ def _formula_checks(q, p, f):
     ]
 
 
-def _count_checks(q, summary):
+def _count_checks(q, orbits):
     expected = census.orbit_counts(q)
-    keys = ("dia_generic", "dia_exceptional", "off_generic",
-            "off_exceptional", "total")
-    return [("orbits-" + k, expected[k], summary[k]) for k in keys]
-
-
-def _oracle_compute(cfg, q, p, f, want):
-    """Compute (or load from cache) the oracle aggregates named in want."""
-    doc = _cache_load(cfg.cache_dir, p, f) if cfg.cache_dir else {}
-    have = doc.get("oracle", {})
-    if all(k in have for k in want):
-        return have
-
-    fresh = {}
-    orbits = oracle.enumerate_orbits(q, cfg.threads)
     summary = oracle.orbit_count_summary(q, orbits=orbits)
-    fresh["orbit_counts"] = {k: str(v) for k, v in summary.items()}
-    if "reflexible" in want or "selfdual" in want or "levels" in want:
-        records = oracle.orbit_records(q, orbits=orbits)
-        fresh["reflexible"] = {
-            form: str(sum(1 for r in records
-                          if r.form == form and r.reflexible))
-            for form in ("dia", "off")}
-        fresh["levels"] = {"generating": str(
-            sum(1 for r in records if r.level == f))}
-        if f > 1:
-            bundles = oracle.galois_fuse(orbits, p, f)
-            fresh["fusion"] = {
-                "bundles": str(len(bundles)),
-                "size_violations": str(
-                    sum(1 for b in bundles if len(b) != f))}
-            table_records = oracle.fused_records(q, orbits=orbits)
-        else:
-            table_records = records
-        cells = oracle.selfdual_cells(
-            [r for r in table_records if r.level == f])
-        fresh["selfdual"] = {form: [str(v) for v in cells[form]]
-                             for form in ("dia", "off")}
+    return [("orbits-" + k, expected[k], summary[k]) for k in ORBIT_KEYS]
 
-    have.update(fresh)
-    if cfg.cache_dir:
-        doc["oracle"] = have
-        _cache_store(cfg.cache_dir, p, f, doc)
+
+def _oracle_compute(q, p, f):
+    """One oracle pass: partition once, build each orbit record once, fuse
+    once when f > 1, and aggregate everything from those results."""
+    orbits = oracle.enumerate_orbits(q)
+    records = oracle.orbit_records(q, orbits=orbits)
+    have = {
+        "orbits": orbits,
+        "reflexible": {form: sum(1 for r in records
+                                 if r.form == form and r.reflexible)
+                       for form in ("dia", "off")},
+        "generating": sum(1 for r in records if r.level == f),
+    }
+    if f > 1:
+        bundles = oracle.galois_fuse(orbits, p, f)
+        have["bundles"] = len(bundles)
+        have["size_violations"] = sum(1 for b in bundles if len(b) != f)
+        records = oracle.fused_records(orbits, records, bundles)
+    have["selfdual"] = oracle.selfdual_cells(
+        [r for r in records if r.level == f])
     return have
 
 
-def _closure_checks(cfg, q, p, f):
+def _selfdual_checks(q, cells):
+    checks = []
+    for form in ("dia", "off"):
+        expect = oracle.SELFDUAL_TABLE[q][form]
+        for col, name in enumerate(("k_eq_l", "pos_sd", "neg_sd", "both")):
+            checks.append(("selfdual-%s-%s" % (form, name),
+                           expect[col], cells[form][col]))
+    return checks
+
+
+def _closure_checks(cfg, q, p, f, orbits):
     """Spot-check that sampled representative pairs generate the whole
     group, by explicit closure.  Only run where |M(q^2)| is tiny."""
     F = make_field(p, 2 * f)
-    reps = []
-    for cls in all_classes(q):
-        for orbit in oracle.orbit_partition(F, cls):
-            reps.append((cls, orbit[0]))
+    reps = [(cls, orbit[0]) for cls, cls_orbits in orbits.items()
+            for orbit in cls_orbits]
     rng = random.Random(cfg.seed)
     sample = rng.sample(reps, min(3, len(reps)))
     expected = q * q * (q ** 4 - 1)
@@ -340,9 +277,8 @@ def cmd_verify(cfg, args):
         if q > ENUM_BOUND:
             raise ResourceLimitError(
                 "orbit enumeration is capped at q <= %d" % ENUM_BOUND)
-        have = _oracle_compute(cfg, q, p, f, ["orbit_counts"])
-        summary = {k: int(v) for k, v in have["orbit_counts"].items()}
-        return _render_checks(cfg, label, _count_checks(q, summary))
+        return _render_checks(cfg, label,
+                              _count_checks(q, oracle.enumerate_orbits(q)))
 
     if args.level == "selfdual":
         if q not in oracle.SELFDUAL_TABLE:
@@ -350,15 +286,8 @@ def cmd_verify(cfg, args):
         if q > ENUM_BOUND:
             raise ResourceLimitError(
                 "self-duality enumeration is capped at q <= %d" % ENUM_BOUND)
-        have = _oracle_compute(cfg, q, p, f, ["selfdual"])
-        checks = []
-        for form in ("dia", "off"):
-            actual = [int(v) for v in have["selfdual"][form]]
-            expect = oracle.SELFDUAL_TABLE[q][form]
-            for col, name in enumerate(("k_eq_l", "pos_sd", "neg_sd", "both")):
-                checks.append(("selfdual-%s-%s" % (form, name),
-                               expect[col], actual[col]))
-        return _render_checks(cfg, label, checks)
+        cells = _oracle_compute(q, p, f)["selfdual"]
+        return _render_checks(cfg, label, _selfdual_checks(q, cells))
 
     # bruteforce
     if q > BRUTE_BOUND:
@@ -370,42 +299,29 @@ def cmd_verify(cfg, args):
             raise ResourceLimitError(
                 "forced partition-only runs are capped at q <= %d"
                 % FORCED_BOUND)
-        have = _oracle_compute(cfg, q, p, f, ["orbit_counts"])
-        summary = {k: int(v) for k, v in have["orbit_counts"].items()}
-        return _render_checks(cfg, label, _count_checks(q, summary))
+        return _render_checks(cfg, label,
+                              _count_checks(q, oracle.enumerate_orbits(q)))
 
-    want = ["orbit_counts", "reflexible", "selfdual", "levels"]
-    if f > 1:
-        want.append("fusion")
-    have = _oracle_compute(cfg, q, p, f, want)
-
-    summary = {k: int(v) for k, v in have["orbit_counts"].items()}
-    checks = _count_checks(q, summary)
+    have = _oracle_compute(q, p, f)
+    checks = _count_checks(q, have["orbits"])
 
     rcounts = census.reflexible_orbit_counts(q)
     for form in ("dia", "off"):
         checks.append(("reflexible-" + form, rcounts[form + "_total"],
-                       int(have["reflexible"][form])))
+                       have["reflexible"][form]))
 
     checks.append(("generating-orbits",
-                   census.count_generating_orbits(p, f),
-                   int(have["levels"]["generating"])))
+                   census.count_generating_orbits(p, f), have["generating"]))
     if f > 1:
         checks.append(("fusion-bundles", census.count_maps(p, f),
-                       int(have["fusion"]["bundles"])))
-        checks.append(("fusion-size-violations", 0,
-                       int(have["fusion"]["size_violations"])))
+                       have["bundles"]))
+        checks.append(("fusion-size-violations", 0, have["size_violations"]))
 
     if q in oracle.SELFDUAL_TABLE:
-        for form in ("dia", "off"):
-            actual = [int(v) for v in have["selfdual"][form]]
-            expect = oracle.SELFDUAL_TABLE[q][form]
-            for col, name in enumerate(("k_eq_l", "pos_sd", "neg_sd", "both")):
-                checks.append(("selfdual-%s-%s" % (form, name),
-                               expect[col], actual[col]))
+        checks.extend(_selfdual_checks(q, have["selfdual"]))
 
     if q <= 5:
-        checks.extend(_closure_checks(cfg, q, p, f))
+        checks.extend(_closure_checks(cfg, q, p, f, have["orbits"]))
 
     return _render_checks(cfg, label, checks)
 
@@ -415,13 +331,11 @@ def cmd_verify(cfg, args):
 
 def cmd_selfdual(cfg, args):
     q = args.q
-    p, f = _odd_prime_power(q)
+    p, f = odd_prime_power(q)
     if q > ENUM_BOUND:
         raise ResourceLimitError(
             "self-duality enumeration is capped at q <= %d" % ENUM_BOUND)
-    have = _oracle_compute(cfg, q, p, f, ["selfdual"])
-    cells = {form: [int(v) for v in have["selfdual"][form]]
-             for form in ("dia", "off")}
+    cells = _oracle_compute(q, p, f)["selfdual"]
 
     surplus = sum(cells[form][2] - cells[form][3] for form in ("dia", "off"))
     if surplus > 0:
@@ -462,14 +376,15 @@ def _parse_type(text):
 
 def cmd_orbits(cfg, args):
     q = args.q
-    _odd_prime_power(q)
+    p, f = odd_prime_power(q)
     if q > args.bound:
         raise ResourceLimitError(
             "orbit listing is capped at q <= %d (see --bound)" % args.bound)
-    if args.fuse:
-        records = oracle.fused_records(q, cfg.threads)
-    else:
-        records = oracle.orbit_records(q, cfg.threads)
+    orbits = oracle.enumerate_orbits(q)
+    records = oracle.orbit_records(q, orbits=orbits)
+    if args.fuse and f > 1:
+        records = oracle.fused_records(
+            orbits, records, oracle.galois_fuse(orbits, p, f))
     if args.type:
         k, l = _parse_type(args.type)
         records = [r for r in records if r.k == k and r.l == l]
@@ -513,10 +428,6 @@ def _build_parser():
                     "verification at small field sizes.")
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for per-(p,f) result caches")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for enumeration")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for sampled spot checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -555,9 +466,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(command=args.command, fmt=args.format,
-                    cache_dir=args.cache_dir, threads=max(1, args.threads),
-                    seed=args.seed)
+    cfg = RunConfig(command=args.command, fmt=args.format, seed=args.seed)
     handlers = {"count": cmd_count, "verify": cmd_verify,
                 "selfdual": cmd_selfdual, "orbits": cmd_orbits}
     try:

@@ -77,6 +77,15 @@ def prime_power(q: int):
     return fac[0]
 
 
+def odd_prime_power(q: int):
+    """Return (p, f) with q = p^f for an odd prime p; raise ValueError for
+    any other q.  The one validator of q shared by census, oracle and CLI."""
+    pf = prime_power(q)
+    if pf is None or pf[0] == 2:
+        raise ValueError("q must be a power of an odd prime, got %d" % q)
+    return pf
+
+
 def odd_part(n: int):
     """Split n = 2^alpha * o with o odd; returns (alpha, o)."""
     alpha = 0

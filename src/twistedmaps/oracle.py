@@ -15,13 +15,12 @@ counts are exact divisions.  Everything here recomputes those orbits by
 direct group arithmetic, never through the closed formulas.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .canonical import (CanonClass, all_classes, canonical_form,
-                        canonical_rep, is_exceptional, stabilizer_elements)
+from .canonical import (all_classes, canonical_form, canonical_rep,
+                        is_exceptional, stabilizer_elements)
 from .gfield import make_field
-from .numth import divisors, odd_part, prime_power
+from .numth import divisors, odd_part, odd_prime_power
 from .twisted_group import TwElem, conjugate, identity, mat_frob, order
 
 
@@ -111,16 +110,9 @@ def class_quads(F, cls):
 
 def enumerate_quads(q):
     """{class: [quads]} over GF(q^2) with the per-class exclusions applied."""
-    p, f = _split_prime_power(q)
+    p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
     return {cls: list(class_quads(F, cls)) for cls in all_classes(q)}
-
-
-def _split_prime_power(q):
-    pf = prime_power(q)
-    if pf is None or pf[0] == 2:
-        raise ValueError(f"q must be an odd prime power, got {q}")
-    return pf
 
 
 # ---------------------------------------------------------------------------
@@ -151,34 +143,17 @@ def orbit_partition(F, cls, quads=None):
     return orbits
 
 
-def _partition_worker(payload):
-    q, form, i = payload
-    p, f = _split_prime_power(q)
+def enumerate_orbits(q):
+    """{class: [orbits]} for the whole twisted coset at one q."""
+    p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
-    return form, i, orbit_partition(F, CanonClass(form, i))
+    return {cls: orbit_partition(F, cls) for cls in all_classes(q)}
 
 
-def enumerate_orbits(q, threads=1):
-    """{class: [orbits]} for the whole twisted coset at one q.
-
-    With threads > 1 the per-class blocks are partitioned in worker
-    processes; the merged result is identical to the serial one.
-    """
-    classes = all_classes(q)
-    if threads <= 1:
-        p, f = _split_prime_power(q)
-        F = make_field(p, 2 * f)
-        return {cls: orbit_partition(F, cls) for cls in classes}
-    payloads = [(q, cls.form, cls.i) for cls in classes]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        done = list(ex.map(_partition_worker, payloads))
-    return {CanonClass(form, i): orbits for form, i, orbits in done}
-
-
-def orbit_count_summary(q, threads=1, orbits=None):
+def orbit_count_summary(q, orbits=None):
     """Orbit totals per class kind, keyed like census.orbit_counts."""
     if orbits is None:
-        orbits = enumerate_orbits(q, threads)
+        orbits = enumerate_orbits(q)
     out = {"dia_generic": 0, "dia_exceptional": 0,
            "off_generic": 0, "off_exceptional": 0}
     for cls, cls_orbits in orbits.items():
@@ -186,22 +161,6 @@ def orbit_count_summary(q, threads=1, orbits=None):
         out["%s_%s" % (cls.form, kind)] += len(cls_orbits)
     out["total"] = sum(out.values())
     return out
-
-
-def count_class_orbits(F, cls):
-    """(orbit count, quad count) for one class without storing the orbits."""
-    stab = stabilizer_elements(cls, F)
-    seen = set()
-    n_orbits = n_quads = 0
-    for quad in class_quads(F, cls):
-        n_quads += 1
-        if quad in seen:
-            continue
-        orbit = {act_quad(F, cls, g, quad) for g in stab}
-        assert len(orbit) == len(stab)
-        seen.update(orbit)
-        n_orbits += 1
-    return n_orbits, n_quads
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +293,13 @@ def brute_reflexible(pair, elements):
     return None
 
 
-def reflexible_orbit_tally(q, threads=1, orbits=None):
+def reflexible_orbit_tally(q, orbits=None):
     """Per-form reflexible orbit counts computed by conjugator search on
     every orbit representative."""
-    p, f = _split_prime_power(q)
+    p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
     if orbits is None:
-        orbits = enumerate_orbits(q, threads)
+        orbits = enumerate_orbits(q)
     tally = {"dia": 0, "off": 0}
     for cls, cls_orbits in orbits.items():
         for orbit in cls_orbits:
@@ -417,8 +376,6 @@ def galois_fuse(orbits, p, f):
 # ---------------------------------------------------------------------------
 # self-duality census
 
-SELFDUAL_TABLE_VERSION = 1
-
 # per q and class form: (maps with equal vertex and face order,
 #                        positively self-dual, negatively self-dual, both)
 SELFDUAL_TABLE = {
@@ -463,31 +420,27 @@ def _record_for(F, cls, orbit):
     )
 
 
-def orbit_records(q, threads=1, orbits=None):
+def orbit_records(q, orbits=None):
     """Deterministically ordered OrbitRec rows for every orbit at one q."""
-    p, f = _split_prime_power(q)
+    p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
     if orbits is None:
-        orbits = enumerate_orbits(q, threads)
+        orbits = enumerate_orbits(q)
     recs = [_record_for(F, cls, orbit)
             for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
     recs.sort(key=lambda r: (r.form, r.i, r.key))
     return recs
 
 
-def fused_records(q, threads=1, orbits=None):
-    """One aggregated record per Galois bundle; flags and type must agree
-    across the bundle and are asserted to."""
-    p, f = _split_prime_power(q)
-    F = make_field(p, 2 * f)
-    if orbits is None:
-        orbits = enumerate_orbits(q, threads)
-    if f == 1:
-        return orbit_records(q, orbits=orbits)
-    bundles = galois_fuse(orbits, p, f)
+def fused_records(orbits, records, bundles):
+    """One aggregated record per Galois bundle of galois_fuse(orbits, ...),
+    built from the orbit_records of the same orbits; flags and type must
+    agree across the bundle and are asserted to."""
+    by_key = {(r.form, r.i, r.key): r for r in records}
     out = []
     for bundle in bundles:
-        members = [_record_for(F, cls, orbits[cls][idx]) for cls, idx in bundle]
+        members = [by_key[(cls.form, cls.i, orbits[cls][idx][0])]
+                   for cls, idx in bundle]
         head = members[0]
         for m in members[1:]:
             assert (m.form, m.k, m.l, m.level, m.reflexible, m.pos_selfdual,
@@ -516,43 +469,3 @@ def selfdual_cells(records):
                      sum(1 for r in eq if r.neg_selfdual),
                      sum(1 for r in eq if r.pos_selfdual and r.neg_selfdual))
     return out
-
-
-def selfdual_table(q, threads=1, orbits=None):
-    """Self-duality census over map classes (orbit bundles) at one q:
-    {form: (equal-type maps, positive, negative, both)} plus map totals."""
-    p, f = _split_prime_power(q)
-    F = make_field(p, 2 * f)
-    if orbits is None:
-        orbits = enumerate_orbits(q, threads)
-    if f > 1:
-        bundles = galois_fuse(orbits, p, f)
-    else:
-        bundles = [[(cls, idx)] for cls, cls_orbits in orbits.items()
-                   for idx in range(len(cls_orbits))]
-
-    rows = {"dia": [0, 0, 0, 0], "off": [0, 0, 0, 0]}
-    n_maps = 0
-    for bundle in bundles:
-        cls, idx = bundle[0]
-        if len(bundle) != f:
-            continue  # conjugate into a subfield subgroup, not a map here
-        n_maps += 1
-        pair = quad_pair(F, cls, orbits[cls][idx][0])
-        x, y = pair
-        if order(x) != order(y):
-            continue
-        row = rows[cls.form]
-        row[0] += 1
-        pos, neg = self_duality(pair)
-        if pos is not None:
-            row[1] += 1
-        if neg is not None:
-            row[2] += 1
-        if pos is not None and neg is not None:
-            row[3] += 1
-    return {
-        "maps": n_maps,
-        "dia": tuple(rows["dia"]),
-        "off": tuple(rows["off"]),
-    }

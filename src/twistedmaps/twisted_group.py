@@ -144,13 +144,6 @@ def iota(F, A):
     return 0 if F.is_square(det) else 1
 
 
-def make(F, A, i=None):
-    """Element [A, i]; with i omitted, the unique lift of A into G."""
-    if i is None:
-        i = iota(F, A)
-    return TwElem(F, A, i)
-
-
 def conjugate(x, g):
     return g.inv() * x * g
 

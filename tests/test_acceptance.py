@@ -14,10 +14,10 @@ from twistedmaps.canonical import (all_classes, canonical_order,
 from twistedmaps.gfield import make_field
 from twistedmaps.numth import prime_power
 from twistedmaps.oracle import (SELFDUAL_TABLE, closure_order,
-                                enumerate_orbits, galois_fuse,
+                                enumerate_orbits, fused_records, galois_fuse,
                                 generated_level, orbit_count_summary,
-                                orbit_partition, quad_pair,
-                                reflexible_orbit_tally, selfdual_table)
+                                orbit_partition, orbit_records, quad_pair,
+                                reflexible_orbit_tally, selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
                                        in_G, naive_order, order)
 
@@ -100,11 +100,25 @@ def test_criterion_04_q9_fusion():
                budget=900)
 
 
-def test_criterion_05_reference_table_small_q():
+def _map_records(q, orbits=None, records=None):
+    """Fused records at level f: one per map class over GF(q^2)."""
+    p, f = prime_power(q)
+    if orbits is None:
+        orbits = enumerate_orbits(q)
+    if records is None:
+        records = orbit_records(q, orbits=orbits)
+    if f > 1:
+        records = fused_records(orbits, records, galois_fuse(orbits, p, f))
+    return [r for r in records if r.level == f]
+
+
+def test_criterion_05_reference_table_small_q(orbits3, orbits5, orbits9,
+                                              records9):
     t0 = time.time()
     bad = []
-    for q in (3, 5, 7, 9):
-        table = selfdual_table(q)
+    for q, orbits, records in ((3, orbits3, None), (5, orbits5, None),
+                               (7, None, None), (9, orbits9, records9)):
+        table = selfdual_cells(_map_records(q, orbits, records))
         for form in ("dia", "off"):
             if table[form] != SELFDUAL_TABLE[q][form]:
                 bad.append("q=%d %s %s vs %s"
@@ -113,17 +127,18 @@ def test_criterion_05_reference_table_small_q():
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("q", [11, 13, 17, 19])
 def test_criterion_05_reference_table_extended(q):
     t0 = time.time()
     bad = []
-    table = selfdual_table(q)
+    maps = _map_records(q)
+    table = selfdual_cells(maps)
     for form in ("dia", "off"):
         if table[form] != SELFDUAL_TABLE[q][form]:
             bad.append("%s %s vs %s"
                        % (form, SELFDUAL_TABLE[q][form], table[form]))
-    if table["maps"] != census.count_maps(q, 1):
-        bad.append("map total %d" % table["maps"])
+    if len(maps) != census.count_maps(q, 1):
+        bad.append("map total %d" % len(maps))
     _criterion("5+%d" % q, "self-duality table row q=%d" % q, t0, bad)
 
 

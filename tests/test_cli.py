@@ -1,4 +1,4 @@
-"""Front-end behavior: commands, formats, exit codes, cache, determinism."""
+"""Front-end behavior: commands, formats, exit codes, determinism."""
 
 import json
 import os
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from twistedmaps import census
+from twistedmaps import oracle
+from twistedmaps.canonical import all_classes
 from twistedmaps.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,6 +144,31 @@ def test_verify_bruteforce_gate_and_force(capsys):
     assert code == 3
 
 
+def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
+    calls = dict.fromkeys(("enumerate_orbits", "orbit_partition",
+                           "_record_for", "galois_fuse"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counted)
+
+    code, _, _ = run(capsys, ["verify", "--q", "9", "--level", "bruteforce"])
+    assert code == 0
+    assert calls == {"enumerate_orbits": 1,
+                     "orbit_partition": len(all_classes(9)),
+                     "_record_for": 790, "galois_fuse": 1}
+
+    calls.update(dict.fromkeys(calls, 0))
+    code, out, _ = run(capsys, ["verify", "--q", "3", "--level",
+                                "bruteforce"])
+    assert code == 0
+    assert "closure-sample-0" in out
+    assert calls == {"enumerate_orbits": 1,
+                     "orbit_partition": len(all_classes(3)),
+                     "_record_for": 7, "galois_fuse": 0}
+
+
 def test_verify_selfdual_against_embedded_row(capsys):
     code, out, _ = run(capsys, ["verify", "--q", "3", "--level", "selfdual"])
     assert code == 0
@@ -207,58 +233,6 @@ def test_orbits_bound_is_resource_guard(capsys):
     assert code == 3
     code, _, err = run(capsys, ["orbits", "--q", "13", "--bound", "11"])
     assert code == 3
-
-
-def test_cache_round_trip_matches_fresh_compute(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    code, first, _ = run(capsys, ["--cache-dir", cache, "count",
-                                  "--p", "3", "--f", "1", "--reflexible"])
-    assert code == 0
-    path = tmp_path / "cache" / "census_p3_f1.json"
-    assert path.exists()
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["schema"] == str(census.SCHEMA_VERSION)
-    cached = census.CensusReport.from_json_dict(doc["census"])
-    assert cached == census.build_report(3, 1)
-
-    code, second, _ = run(capsys, ["--cache-dir", cache, "count",
-                                   "--p", "3", "--f", "1", "--reflexible"])
-    assert code == 0
-    assert second == first
-
-
-def test_cache_short_circuits_verify(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
-    argv = ["--cache-dir", cache, "verify", "--q", "3",
-            "--level", "bruteforce"]
-    code, first, _ = run(capsys, argv)
-    assert code == 0
-    doc = json.loads((tmp_path / "cache" / "census_p3_f1.json")
-                     .read_text(encoding="utf-8"))
-    assert "oracle" in doc
-    code, second, _ = run(capsys, argv)
-    assert code == 0
-    assert second == first
-
-
-def test_stale_cache_schema_is_ignored(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "census_p3_f1.json").write_text('{"schema": "0"}',
-                                             encoding="utf-8")
-    code, out, err = run(capsys, ["--cache-dir", str(cache), "count",
-                                  "--p", "3", "--f", "1"])
-    assert code == 0
-    assert "maps               7" in out
-    assert "unknown schema" in err
-
-
-def test_thread_count_leaves_output_bytes_unchanged(capsys):
-    _, one, _ = run(capsys, ["--threads", "1", "verify", "--q", "5",
-                             "--level", "orbits"])
-    _, three, _ = run(capsys, ["--threads", "3", "verify", "--q", "5",
-                               "--level", "orbits"])
-    assert one == three
 
 
 def test_verify_json_uses_string_integers(capsys):

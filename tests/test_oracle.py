@@ -11,13 +11,12 @@ from twistedmaps.census import (count_maps, map_type, orbit_counts,
                                 reflexible_orbit_counts, type_obstruction)
 from twistedmaps.gfield import make_field
 from twistedmaps.oracle import (SELFDUAL_TABLE, brute_reflexible, class_quads,
-                                closure_order, enumerate_orbits,
-                                enumerate_quads, fused_records, galois_fuse,
-                                generated_level, is_reflexible,
+                                closure_order, enumerate_quads, fused_records,
+                                galois_fuse, generated_level, is_reflexible,
                                 orbit_count_summary, orbit_partition,
                                 orbit_records, pair_quad, quad_pair,
                                 reflexible_orbit_tally, self_duality,
-                                selfdual_cells, selfdual_table)
+                                selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
                                        order)
 
@@ -103,10 +102,6 @@ def test_orbits_cover_every_quad_once(orbits5):
         assert len(set(seen)) == len(seen)
 
 
-def test_threaded_enumeration_equals_serial():
-    assert enumerate_orbits(5, threads=2) == enumerate_orbits(5)
-
-
 def test_reflexible_tallies_match_formulas(orbits3, orbits5):
     for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
         tally = reflexible_orbit_tally(q, orbits=orbits)
@@ -160,15 +155,13 @@ def test_selfduality_requires_equal_orders(F9, orbits3):
 
 
 def test_selfdual_table_matches_reference_rows(orbits3, orbits5):
+    # at prime q fusion is trivial, so the fused records at level f are
+    # the level-1 orbit records
     for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
-        table = selfdual_table(q, orbits=orbits)
-        assert table["dia"] == SELFDUAL_TABLE[q]["dia"]
-        assert table["off"] == SELFDUAL_TABLE[q]["off"]
-        assert table["maps"] == count_maps(*_pf(q))
-
-
-def _pf(q):
-    return {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q]
+        maps = [r for r in orbit_records(q, orbits=orbits) if r.level == 1]
+        assert selfdual_cells(maps) == {"dia": SELFDUAL_TABLE[q]["dia"],
+                                        "off": SELFDUAL_TABLE[q]["off"]}
+        assert len(maps) == count_maps(q, 1)
 
 
 def test_selfdual_search_agrees_with_element_scan_q3(F9, orbits3):
@@ -257,7 +250,7 @@ def test_galois_fusion_at_q9(orbits9, records9):
     bundles = galois_fuse(orbits9, 3, 2)
     assert len(bundles) == 395
     assert all(len(b) == 2 for b in bundles)
-    fused = fused_records(9, orbits=orbits9)
+    fused = fused_records(orbits9, records9, bundles)
     assert len(fused) == 395
     assert sum(r.size for r in fused) == sum(r.size for r in records9)
     assert selfdual_cells(fused) == {"dia": SELFDUAL_TABLE[9]["dia"],
@@ -265,7 +258,8 @@ def test_galois_fusion_at_q9(orbits9, records9):
 
 
 def test_fusion_is_trivial_at_prime_q(orbits3):
-    assert fused_records(3, orbits=orbits3) == orbit_records(3, orbits=orbits3)
+    recs = orbit_records(3, orbits=orbits3)
+    assert fused_records(orbits3, recs, galois_fuse(orbits3, 3, 1)) == recs
 
 
 def test_records_are_sorted_and_unique(records9):
@@ -294,8 +288,3 @@ def test_reflexible_counts_at_q9_split_by_form(records9):
     for form in ("dia", "off"):
         got = sum(1 for r in records9 if r.form == form and r.reflexible)
         assert got == expect[form + "_total"]
-
-
-def test_partition_rejects_nothing_is_lost_under_threads(orbits9):
-    # the threaded path at composite f must agree with the serial fixture
-    assert enumerate_orbits(9, threads=3) == orbits9
