@@ -13,7 +13,7 @@ print("GF(9):   modulus coefficients", F9.modulus, "(low degree first)")
 print("GF(729): modulus coefficients", F729.modulus)
 print()
 
-xi = F9.primitive_element()
+xi = F9.xi
 print("primitive element of GF(9):", xi, "with powers:")
 print("  ", [F9.pow(xi, k) for k in range(9)])
 print()

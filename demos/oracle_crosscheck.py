@@ -1,15 +1,17 @@
 """Formulas against brute force at q = 5, end to end.
 
-Nothing here trusts the closed forms: pairs are enumerated explicitly,
-partitioned into orbits under materialized stabilizers, and searched for
-reversing conjugators.  The numbers then have to agree with the census.
+Nothing here trusts the closed forms: pairs are enumerated explicitly and
+partitioned into orbits under materialized stabilizers.  An orbit is
+reflexible when the pair of inverses lands in the same orbit, which the
+orbit records test by lookup; for one pair the reversing conjugator is
+also searched out explicitly.  The numbers have to agree with the census.
 """
 
 from twistedmaps import (make_field, orbit_counts, reflexible_orbit_counts)
-from twistedmaps.canonical import all_classes, stabilizer_size
+from twistedmaps.canonical import stabilizer_size
 from twistedmaps.oracle import (closure_order, enumerate_orbits,
                                 is_reflexible, orbit_count_summary,
-                                quad_pair, reflexible_orbit_tally)
+                                orbit_records, quad_pair)
 
 q = 5
 F = make_field(5, 2)
@@ -33,7 +35,9 @@ for key in ("dia_generic", "dia_exceptional", "off_generic",
     assert expected[key] == summary[key]
 print()
 
-tally = reflexible_orbit_tally(q, orbits=orbits)
+records = orbit_records(q, orbits=orbits)
+tally = {form: sum(1 for r in records if r.form == form and r.reflexible)
+         for form in ("dia", "off")}
 rexpected = reflexible_orbit_counts(q)
 print("reflexible: formula dia %d / off %d, oracle dia %d / off %d"
       % (rexpected["dia_total"], rexpected["off_total"],

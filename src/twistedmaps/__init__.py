@@ -10,14 +10,13 @@ from .canonical import (CanonClass, all_classes, canonical_form,
                         is_exceptional, stabilizer_elements, stabilizer_size,
                         twisted_conjugate_test)
 from .census import (CensusReport, build_report, count_generating_orbits,
-                     count_maps, count_reflexible_maps, map_type,
-                     orbit_counts, reflexible_orbit_counts, total_orbits,
+                     count_maps, count_reflexible_maps, orbit_counts,
+                     reflexible_orbit_counts, total_orbits,
                      total_reflexible_orbits, twisted_divisors,
                      type_obstruction)
 from .gfield import Field, ResourceLimitError, make_field
 from .oracle import (OrbitRec, enumerate_orbits, fused_records, galois_fuse,
-                     generated_level, is_reflexible, orbit_records,
-                     self_duality, selfdual_cells)
+                     generated_level, orbit_records, selfdual_cells)
 from .twisted_group import TwElem, conjugate, group_order, identity, order
 
 __all__ = [
@@ -26,9 +25,9 @@ __all__ = [
     "canonical_order", "canonical_rep", "class_size", "conjugate",
     "count_generating_orbits", "count_maps", "count_reflexible_maps",
     "enumerate_orbits", "fused_records", "galois_fuse", "generated_level",
-    "group_order", "identity", "is_exceptional", "is_reflexible",
-    "make_field", "map_type", "orbit_counts", "orbit_records", "order",
-    "reflexible_orbit_counts", "self_duality", "selfdual_cells",
+    "group_order", "identity", "is_exceptional", "make_field",
+    "orbit_counts", "orbit_records", "order", "reflexible_orbit_counts",
+    "selfdual_cells",
     "stabilizer_elements", "stabilizer_size", "total_orbits",
     "total_reflexible_orbits", "twisted_conjugate_test", "twisted_divisors",
     "type_obstruction",

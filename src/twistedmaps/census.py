@@ -18,7 +18,6 @@ Reflexible maps admit the same treatment with total (q^2-1)(3q-2)/8.
 from dataclasses import dataclass
 
 from .numth import divisors, is_prime, mobius, odd_part, odd_prime_power
-from .twisted_group import order as element_order
 
 
 def n_F(q):
@@ -102,9 +101,8 @@ def count_generating_orbits(p, f):
     group (not a twisted subgroup over a subfield)."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
-    alpha, o = odd_part(f)
-    return sum(mobius(o // d) * total_orbits(p ** (2 ** alpha * d))
-               for d in divisors(o))
+    return sum(mobius(f // e) * total_orbits(p ** e)
+               for e in twisted_divisors(f))
 
 
 def count_maps(p, f):
@@ -117,9 +115,8 @@ def count_maps(p, f):
 def count_reflexible_generating_orbits(p, f):
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
-    alpha, o = odd_part(f)
-    return sum(mobius(o // d) * total_reflexible_orbits(p ** (2 ** alpha * d))
-               for d in divisors(o))
+    return sum(mobius(f // e) * total_reflexible_orbits(p ** e)
+               for e in twisted_divisors(f))
 
 
 def count_reflexible_maps(p, f):
@@ -134,16 +131,6 @@ def type_obstruction(k, l):
     """True when no orientably-regular map of type (k, l) can live on any
     M(q^2): both entries divisible by 8 but not congruent mod 16."""
     return k % 8 == 0 and l % 8 == 0 and (k - l) % 16 != 0
-
-
-def map_type(pair):
-    """(vertex order, face order) of the map attached to a generating pair."""
-    x, y = pair
-    t = (element_order(x), element_order(y))
-    prod = x * y
-    assert not prod.is_identity() and (prod * prod).is_identity(), \
-        "map pairs multiply to an involution"
-    return t
 
 
 # ---------------------------------------------------------------------------

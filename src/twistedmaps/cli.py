@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from . import census, oracle
 from .canonical import all_classes, is_exceptional
 from .gfield import ResourceLimitError, make_field
-from .numth import divisors, is_prime, mobius, odd_part, odd_prime_power
+from .numth import is_prime, mobius, odd_prime_power
 
 # q at or below which full enumeration commands run by default;
 # verify --level bruteforce is stricter (see BRUTE_BOUND) because it adds
-# per-orbit searches on top of the partition.
+# orbit records, Galois fusion and closure samples on top of the partition.
 ENUM_BOUND = 13
 BRUTE_BOUND = 9
 FORCED_BOUND = 27      # partition-only ceiling under verify --force
@@ -116,14 +116,11 @@ def cmd_count(cfg, args):
 
     report = census.build_report(p, f)
     q = p ** f
-    alpha, o = odd_part(f)
     lattice = []
-    for d in divisors(o):
-        e = 2 ** alpha * d
+    for e in census.twisted_divisors(f):
         orb = census.total_orbits(p ** e)
-        mu = mobius(o // d)
+        mu = mobius(f // e)
         lattice.append((e, orb, mu, mu * orb))
-    lattice.sort()
 
     if cfg.fmt == "json":
         out = {

@@ -255,9 +255,6 @@ class Field:
             return None
         return self.exp[k // 2]
 
-    def primitive_element(self):
-        return self.xi
-
     def nth_roots(self, w, r):
         """{z : z^r = w} as a set (possibly empty)."""
         if w == 0:
@@ -321,10 +318,6 @@ class Field:
     def coeffs(self, x):
         """Coefficient vector of x, low degree first, length m."""
         return self._digits(x)
-
-    def from_coeffs(self, vec):
-        assert len(vec) == self.m
-        return sum((c % self.p) * self.p ** i for i, c in enumerate(vec))
 
     def elements(self):
         return range(self.size)

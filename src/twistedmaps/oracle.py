@@ -13,6 +13,13 @@ be a non-square.  Orbits of pairs under conjugation correspond to orbits of
 quads under the stabilizer of y, and that action is semiregular, so orbit
 counts are exact divisions.  Everything here recomputes those orbits by
 direct group arithmetic, never through the closed formulas.
+
+A map is an orbit, so every per-map question is whether some image pair lies
+in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
+self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
+Frobenius image.  pair_key answers all of them by naming the orbit of any
+admissible pair as (class, quad).  The explicit conjugator searches are kept
+only as witness references for the tests.
 """
 
 from dataclasses import dataclass
@@ -67,6 +74,14 @@ def pair_quad(F, cls, x):
     return (first, second, F.add(F.mul(first, second), ls))
 
 
+def pair_key(F, first, second):
+    """(class, quad) of the orbit holding the map pair (first, second): the
+    class of second, and the quad of first once second is conjugated onto
+    that class's representative."""
+    cls, w = canonical_form(second)
+    return cls, pair_quad(F, cls, conjugate(first, w))
+
+
 def _order4_partner(F, cls, quad):
     """Whether the x of this quad has order 4 (trace of A A^sigma vanishes);
     only consulted in exceptional classes, where such pairs are excluded."""
@@ -106,13 +121,6 @@ def class_quads(F, cls):
             if exceptional and _order4_partner(F, cls, quad):
                 continue
             yield quad
-
-
-def enumerate_quads(q):
-    """{class: [quads]} over GF(q^2) with the per-class exclusions applied."""
-    p, f = odd_prime_power(q)
-    F = make_field(p, 2 * f)
-    return {cls: list(class_quads(F, cls)) for cls in all_classes(q)}
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +240,22 @@ def closure_order(pair, cap=10 ** 6):
 
 
 # ---------------------------------------------------------------------------
-# reflexibility and duality by explicit conjugator search
-
-def _solutions(target_src, target_dst):
-    """Elements g with target_src^g == target_dst, as (coset witness, stab);
-    returns None when the two lie in different classes."""
-    c_src, w_src = canonical_form(target_src)
-    c_dst, w_dst = canonical_form(target_dst)
-    if c_src != c_dst:
-        return None
-    v = w_src * w_dst.inv()
-    stab = stabilizer_elements(c_src, target_src.F)
-    # stabilizer of target_src itself is the witness-conjugated rep stabilizer
-    return v, w_src, stab
-
+# test references: explicit conjugator witnesses
 
 def _search(x, y, x_to, y_to):
-    """First g in Gbar with x^g == x_to and y^g == y_to, else None."""
-    sol = _solutions(y, y_to)
-    if sol is None:
+    """First g in Gbar with x^g == x_to and y^g == y_to, else None.
+
+    Such a g carries y onto y_to, so the two share a canonical class; the
+    candidates are w s w^-1 v for s in the stabilizer of the class
+    representative, where w is the witness of y and v carries y onto y_to.
+    """
+    c_src, w = canonical_form(y)
+    c_dst, w_dst = canonical_form(y_to)
+    if c_src != c_dst:
         return None
-    v, w, stab = sol
+    v = w * w_dst.inv()
     w_inv = w.inv()
-    for s in stab:
+    for s in stabilizer_elements(c_src, y.F):
         g = w * s * w_inv * v
         if conjugate(x, g) == x_to:
             assert conjugate(y, g) == y_to
@@ -293,23 +294,6 @@ def brute_reflexible(pair, elements):
     return None
 
 
-def reflexible_orbit_tally(q, orbits=None):
-    """Per-form reflexible orbit counts computed by conjugator search on
-    every orbit representative."""
-    p, f = odd_prime_power(q)
-    F = make_field(p, 2 * f)
-    if orbits is None:
-        orbits = enumerate_orbits(q)
-    tally = {"dia": 0, "off": 0}
-    for cls, cls_orbits in orbits.items():
-        for orbit in cls_orbits:
-            pair = quad_pair(F, cls, orbit[0])
-            if is_reflexible(pair) is not None:
-                tally[cls.form] += 1
-    tally["total"] = tally["dia"] + tally["off"]
-    return tally
-
-
 # ---------------------------------------------------------------------------
 # Galois fusion of orbits into map classes
 
@@ -335,13 +319,6 @@ def galois_fuse(orbits, p, f):
             for quad in orbit:
                 locate[(cls, quad)] = (cls, idx)
 
-    def image_orbit(cls, orbit, j):
-        pair = quad_pair(F, cls, orbit[0])
-        xj, yj = _phi_pair(pair, j)
-        cj, w = canonical_form(yj)
-        xq = pair_quad(F, cj, conjugate(xj, w))
-        return locate[(cj, xq)]
-
     parent = {}
 
     def find(a):
@@ -355,8 +332,9 @@ def galois_fuse(orbits, p, f):
             parent.setdefault((cls, idx), (cls, idx))
     for cls, cls_orbits in orbits.items():
         for idx, orbit in enumerate(cls_orbits):
+            pair = quad_pair(F, cls, orbit[0])
             for j in range(1, f):
-                other = image_orbit(cls, orbit, j)
+                other = locate[pair_key(F, *_phi_pair(pair, j))]
                 ra, rb = find((cls, idx)), find(other)
                 if ra != rb:
                     parent[ra] = rb
@@ -405,18 +383,25 @@ class OrbitRec:
     neg_selfdual: bool
 
 
-def _record_for(F, cls, orbit):
+def _record_for(F, cls, orbit, orders):
+    """The record of one orbit; orders maps each class to the order of its
+    representative, which every member of the class shares."""
     pair = quad_pair(F, cls, orbit[0])
     x, y = pair
-    k, l = order(x), order(y)
-    pos = neg = None
-    if k == l:
-        pos, neg = self_duality(pair)
+    xi, yi = x.inv(), y.inv()
+    members = set(orbit)
+
+    def same_map(key):
+        return key[0] == cls and key[1] in members
+
+    dual = pair_key(F, y, x)  # keyed by the class of x
+    k, l = orders[dual[0]], orders[cls]
     return OrbitRec(
         form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
         level=generated_level(pair), k=k, l=l,
-        reflexible=is_reflexible(pair) is not None,
-        pos_selfdual=pos is not None, neg_selfdual=neg is not None,
+        reflexible=same_map(pair_key(F, xi, yi)),
+        pos_selfdual=same_map(dual),
+        neg_selfdual=k == l and same_map(pair_key(F, yi, xi)),
     )
 
 
@@ -426,7 +411,8 @@ def orbit_records(q, orbits=None):
     F = make_field(p, 2 * f)
     if orbits is None:
         orbits = enumerate_orbits(q)
-    recs = [_record_for(F, cls, orbit)
+    orders = {cls: order(canonical_rep(cls, F)) for cls in all_classes(q)}
+    recs = [_record_for(F, cls, orbit, orders)
             for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
     recs.sort(key=lambda r: (r.form, r.i, r.key))
     return recs

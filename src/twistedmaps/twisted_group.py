@@ -47,14 +47,6 @@ def mat_frob(F, X, k):
     return tuple(F.frobenius(x, k) for x in X)
 
 
-def mat_scale(F, X, s):
-    return tuple(F.mul(x, s) for x in X)
-
-
-def mat_trace(F, X):
-    return F.add(X[0], X[3])
-
-
 # ---------------------------------------------------------------------------
 
 class TwElem:
@@ -130,11 +122,6 @@ def identity(F):
     return TwElem(F, (1, 0, 0, 1), 0)
 
 
-def sigma_elem(F):
-    """[I, 1]; conjugation by it applies sigma entrywise."""
-    return TwElem(F, (1, 0, 0, 1), 1)
-
-
 def iota(F, A):
     """Twist bit forced on matrix part A inside the twisted group: 0 for
     square determinant, 1 for non-square."""
@@ -150,10 +137,6 @@ def conjugate(x, g):
 
 def in_G(x):
     return x.i == iota(x.F, x.matrix)
-
-
-def in_G0(x):
-    return x.i == 0 and x.F.is_square(x.det())
 
 
 def group_order(F, which="G"):

@@ -17,7 +17,7 @@ from twistedmaps.oracle import (SELFDUAL_TABLE, closure_order,
                                 enumerate_orbits, fused_records, galois_fuse,
                                 generated_level, orbit_count_summary,
                                 orbit_partition, orbit_records, quad_pair,
-                                reflexible_orbit_tally, selfdual_cells)
+                                selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
                                        in_G, naive_order, order)
 
@@ -57,7 +57,7 @@ def test_criterion_02_q5_totals_and_reflexible():
     if (census.count_maps(5, 1), total) != (69, 69):
         bad.append("totals %d vs %d"
                     % (census.count_maps(5, 1), total))
-    refl = reflexible_orbit_tally(5, orbits=orbits)["total"]
+    refl = sum(r.reflexible for r in orbit_records(5, orbits=orbits))
     if (census.count_reflexible_maps(5, 1), refl) != (39, 39):
         bad.append("reflexible %d vs %d"
                     % (census.count_reflexible_maps(5, 1), refl))
@@ -74,12 +74,13 @@ def test_criterion_03_q7_per_form_counts():
                 "off_exceptional", "total"):
         if summary[key] != expected[key]:
             bad.append("%s %d vs %d" % (key, expected[key], summary[key]))
-    tally = reflexible_orbit_tally(7, orbits=orbits)
+    recs = orbit_records(7, orbits=orbits)
     rexp = census.reflexible_orbit_counts(7)
     for form in ("dia", "off"):
-        if tally[form] != rexp[form + "_total"]:
+        got = sum(1 for r in recs if r.form == form and r.reflexible)
+        if got != rexp[form + "_total"]:
             bad.append("reflexible %s %d vs %d"
-                       % (form, rexp[form + "_total"], tally[form]))
+                       % (form, rexp[form + "_total"], got))
     _criterion("3", "q=7 per-form orbit and reflexible counts", t0, bad,
                budget=600)
 

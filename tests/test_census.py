@@ -1,6 +1,12 @@
 """Closed-form counting layer: orbit counts, inversion, reflexible counts."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +143,44 @@ def test_bad_inputs_rejected():
         cs.count_maps(4, 2)
     with pytest.raises(ValueError):
         cs.twisted_divisors(0)
+
+
+def test_nonpositive_exponents_rejected_without_hanging():
+    # run apart so that an endless loop fails on the timeout, not the suite
+    code = textwrap.dedent("""
+        from twistedmaps import census
+        for name in ("count_maps", "count_generating_orbits",
+                     "count_reflexible_generating_orbits",
+                     "count_reflexible_maps"):
+            for f in (0, -1):
+                try:
+                    getattr(census, name)(3, f)
+                except ValueError:
+                    continue
+                raise SystemExit("%s(3, %d) did not raise" % (name, f))
+    """)
+    src = str(Path(cs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_census_imports_nothing_but_numth_from_the_package():
+    # formulas and oracle share only arithmetic helpers; group code in the
+    # census would let a formula and its check fail together
+    tree = ast.parse(Path(cs.__file__).read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                local.add("." + (node.module or ""))
+            elif node.module.split(".")[0] == "twistedmaps":
+                local.add(node.module)
+        elif isinstance(node, ast.Import):
+            local.update(a.name for a in node.names
+                         if a.name.split(".")[0] == "twistedmaps")
+    assert local == {".numth"}
 
 
 @pytest.mark.parametrize("q", [1, 15, 21, 45])

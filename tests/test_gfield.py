@@ -15,7 +15,7 @@ def test_modulus_choices_are_the_documented_ones(F9, F25):
 
 
 def test_primitive_element_is_first_generator_in_scan_order(F9):
-    assert F9.xi == F9.from_coeffs((1, 1))  # 1 + x, packed 4
+    assert F9.xi == 4  # 1 + x, packed as 1 + 1 * 3
     # nothing below it generates: orders of 1, 2, x are 1, 2, 4
     n = F9.size - 1
     for c in range(1, F9.xi):

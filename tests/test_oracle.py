@@ -7,16 +7,14 @@ import pytest
 
 from twistedmaps.canonical import (CanonClass, all_classes, canonical_order,
                                    is_exceptional, stabilizer_size)
-from twistedmaps.census import (count_maps, map_type, orbit_counts,
+from twistedmaps.census import (count_maps, orbit_counts,
                                 reflexible_orbit_counts, type_obstruction)
 from twistedmaps.gfield import make_field
 from twistedmaps.oracle import (SELFDUAL_TABLE, brute_reflexible, class_quads,
-                                closure_order, enumerate_quads, fused_records,
-                                galois_fuse, generated_level, is_reflexible,
-                                orbit_count_summary, orbit_partition,
-                                orbit_records, pair_quad, quad_pair,
-                                reflexible_orbit_tally, self_duality,
-                                selfdual_cells)
+                                closure_order, fused_records, galois_fuse,
+                                generated_level, is_reflexible,
+                                orbit_count_summary, orbit_records, pair_quad,
+                                quad_pair, self_duality, selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
                                        order)
 
@@ -94,21 +92,38 @@ def test_orbit_sizes_are_the_stabilizer_sizes(orbits3, orbits5):
             assert all(len(orbit) == expect for orbit in cls_orbits)
 
 
-def test_orbits_cover_every_quad_once(orbits5):
-    blocks = enumerate_quads(5)
+def test_orbits_cover_every_quad_once(F25, orbits5):
+    assert list(orbits5) == all_classes(5)
     for cls, cls_orbits in orbits5.items():
         seen = [quad for orbit in cls_orbits for quad in orbit]
-        assert sorted(seen) == sorted(blocks[cls])
+        assert sorted(seen) == sorted(class_quads(F25, cls))
         assert len(set(seen)) == len(seen)
 
 
 def test_reflexible_tallies_match_formulas(orbits3, orbits5):
     for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
-        tally = reflexible_orbit_tally(q, orbits=orbits)
+        recs = orbit_records(q, orbits=orbits)
         expect = reflexible_orbit_counts(q)
-        assert tally["dia"] == expect["dia_total"]
-        assert tally["off"] == expect["off_total"]
-        assert tally["total"] == expect["total"]
+        for form in ("dia", "off"):
+            got = sum(1 for r in recs if r.form == form and r.reflexible)
+            assert got == expect[form + "_total"]
+        assert sum(r.reflexible for r in recs) == expect["total"]
+
+
+def test_record_flags_agree_with_conjugator_witnesses(orbits3, orbits5):
+    # the records test orbit membership of the inverted and swapped pairs;
+    # the references search the stabilizer for an explicit conjugator
+    for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
+        F = make_field(q, 2)
+        for r in orbit_records(q, orbits=orbits):
+            pair = quad_pair(F, CanonClass(r.form, r.i), r.key)
+            assert r.reflexible == (is_reflexible(pair) is not None)
+            if r.k == r.l:
+                pos, neg = self_duality(pair)
+                assert (r.pos_selfdual, r.neg_selfdual) == (
+                    pos is not None, neg is not None)
+            else:
+                assert not r.pos_selfdual and not r.neg_selfdual
 
 
 def test_reflexible_search_agrees_with_element_scan_q3(F9, orbits3):
@@ -276,11 +291,17 @@ def test_record_types_respect_the_order_obstruction(orbits3, orbits5,
         assert not type_obstruction(r.k, r.l)
 
 
-def test_record_types_agree_with_map_type(F9, orbits3):
-    for r in orbit_records(3, orbits=orbits3):
-        cls = CanonClass(r.form, r.i)
-        pair = quad_pair(F9, cls, r.key)
-        assert map_type(pair) == (r.k, r.l)
+def test_record_types_agree_with_map_type(F9, F25, F81, orbits3, orbits5,
+                                         records9):
+    # the type (k, l) is read from a per-class order table; recompute both
+    # orders of every representative pair by exponent descent
+    for F, recs in ((F9, orbit_records(3, orbits=orbits3)),
+                    (F25, orbit_records(5, orbits=orbits5)), (F81, records9)):
+        for r in recs:
+            x, y = quad_pair(F, CanonClass(r.form, r.i), r.key)
+            assert (r.k, r.l) == (order(x), order(y))
+            xy = x * y
+            assert not xy.is_identity() and (xy * xy).is_identity()
 
 
 def test_reflexible_counts_at_q9_split_by_form(records9):
