@@ -133,20 +133,13 @@ def canonical_form(x):
     c = CanonClass(form, i)
 
     # second-stage conjugator moving exponent j onto the representative i
-    if (j - i) % m0 == 0:
-        if form == "dia":
-            t = (i - j) // m0
-            g2 = TwElem(F, (F.pow(F.xi, t % n), 0, 0, 1), 0)
-        else:
-            t = (j - i) // m0
-            g2 = TwElem(F, (F.pow(F.xi, t % n), 0, 0, 1), 0)
-    else:
-        assert (j + i) % m0 == 0
-        if form == "dia":
-            t = -(i + j) // m0
-        else:
-            t = (i + j) // m0
-        g2 = TwElem(F, (0, F.pow(F.xi, t % n), 1, 0), 0)
+    # (diagonal when j = i mod m0, antidiagonal when j = -i mod m0)
+    same = (j - i) % m0 == 0
+    t = ((i - j) if same else -(i + j)) // m0
+    if form == "off":
+        t = -t
+    e = F.pow(F.xi, t % n)
+    g2 = TwElem(F, (e, 0, 0, 1) if same else (0, e, 1, 0), 0)
 
     witness = TwElem(F, P, 0) * g2
     assert conjugate(x, witness) == canonical_rep(c, F)

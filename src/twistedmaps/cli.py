@@ -10,7 +10,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import census, oracle
 from .canonical import all_classes, is_exceptional
@@ -24,13 +23,6 @@ ENUM_BOUND = 13
 BRUTE_BOUND = 9
 FORCED_BOUND = 27      # partition-only ceiling under verify --force
 MAX_Q = 10 ** 6        # declared parameter range for verify
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    fmt: str
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +61,17 @@ def _bool_str(b):
 # ---------------------------------------------------------------------------
 # check lists (verify)
 
-def _render_checks(cfg, label, checks):
+def _render_checks(args, label, checks):
     """checks: list of (name, expected, actual); returns the exit code."""
     failed = [c for c in checks if c[1] != c[2]]
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({
             "label": label,
             "checks": [{"name": n, "expected": str(e), "actual": str(a),
                         "ok": e == a} for n, e, a in checks],
             "passed": not failed,
         })
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit_csv(["name", "expected", "actual", "ok"],
                   [(n, e, a, _bool_str(e == a)) for n, e, a in checks])
     else:
@@ -107,7 +99,7 @@ REFLEX_KEYS = ("dia_plain", "dia_twisted", "off_plain", "off_twisted",
                "dia_total", "off_total", "total")
 
 
-def cmd_count(cfg, args):
+def cmd_count(args):
     p, f = args.p, args.f
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime, got %d" % p)
@@ -122,7 +114,7 @@ def cmd_count(cfg, args):
         mu = mobius(f // e)
         lattice.append((e, orb, mu, mu * orb))
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = {
             "p": str(p), "f": str(f), "q": str(q),
             "orbit_counts": {k: str(v) for k, v in report.orbit_counts.items()},
@@ -141,7 +133,7 @@ def cmd_count(cfg, args):
         _emit_json(out)
         return 0
 
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         rows = [("p", p), ("f", f), ("q", q)]
         rows += [("orbits_%s" % k, report.orbit_counts[k])
                  for k in ORBIT_KEYS]
@@ -245,13 +237,13 @@ def _selfdual_checks(q, cells):
     return checks
 
 
-def _closure_checks(cfg, q, p, f, orbits):
+def _closure_checks(args, q, p, f, orbits):
     """Spot-check that sampled representative pairs generate the whole
     group, by explicit closure.  Only run where |M(q^2)| is tiny."""
     F = make_field(p, 2 * f)
     reps = [(cls, orbit[0]) for cls, cls_orbits in orbits.items()
             for orbit in cls_orbits]
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     sample = rng.sample(reps, min(3, len(reps)))
     expected = q * q * (q ** 4 - 1)
     out = []
@@ -262,19 +254,19 @@ def _closure_checks(cfg, q, p, f, orbits):
     return out
 
 
-def cmd_verify(cfg, args):
+def cmd_verify(args):
     q = args.q
     p, f = _verify_q(q)
     label = {"q": str(q), "level": args.level}
 
     if args.level == "formulas":
-        return _render_checks(cfg, label, _formula_checks(q, p, f))
+        return _render_checks(args, label, _formula_checks(q, p, f))
 
     if args.level == "orbits":
         if q > ENUM_BOUND:
             raise ResourceLimitError(
                 "orbit enumeration is capped at q <= %d" % ENUM_BOUND)
-        return _render_checks(cfg, label,
+        return _render_checks(args, label,
                               _count_checks(q, oracle.enumerate_orbits(q)))
 
     if args.level == "selfdual":
@@ -284,7 +276,7 @@ def cmd_verify(cfg, args):
             raise ResourceLimitError(
                 "self-duality enumeration is capped at q <= %d" % ENUM_BOUND)
         cells = _oracle_compute(q, p, f)["selfdual"]
-        return _render_checks(cfg, label, _selfdual_checks(q, cells))
+        return _render_checks(args, label, _selfdual_checks(q, cells))
 
     # bruteforce
     if q > BRUTE_BOUND:
@@ -296,7 +288,7 @@ def cmd_verify(cfg, args):
             raise ResourceLimitError(
                 "forced partition-only runs are capped at q <= %d"
                 % FORCED_BOUND)
-        return _render_checks(cfg, label,
+        return _render_checks(args, label,
                               _count_checks(q, oracle.enumerate_orbits(q)))
 
     have = _oracle_compute(q, p, f)
@@ -318,15 +310,15 @@ def cmd_verify(cfg, args):
         checks.extend(_selfdual_checks(q, have["selfdual"]))
 
     if q <= 5:
-        checks.extend(_closure_checks(cfg, q, p, f, have["orbits"]))
+        checks.extend(_closure_checks(args, q, p, f, have["orbits"]))
 
-    return _render_checks(cfg, label, checks)
+    return _render_checks(args, label, checks)
 
 
 # ---------------------------------------------------------------------------
 # selfdual
 
-def cmd_selfdual(cfg, args):
+def cmd_selfdual(args):
     q = args.q
     p, f = odd_prime_power(q)
     if q > ENUM_BOUND:
@@ -343,12 +335,12 @@ def cmd_selfdual(cfg, args):
 
     rows = [(q, form, cells[form][0], cells[form][1], cells[form][2],
              cells[form][3]) for form in ("dia", "off")]
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"q": str(q), "rows": [
             {"form": form, "k_eq_l": str(a), "pos_sd": str(b),
              "neg_sd": str(c), "both": str(d)}
             for _, form, a, b, c, d in rows]})
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit_csv(["q", "form", "k_eq_l", "pos_sd", "neg_sd", "both"], rows)
     else:
         _write("self-dual map classes at q=%d\n" % q)
@@ -371,7 +363,7 @@ def _parse_type(text):
     return k, l
 
 
-def cmd_orbits(cfg, args):
+def cmd_orbits(args):
     q = args.q
     p, f = odd_prime_power(q)
     if q > args.bound:
@@ -386,7 +378,7 @@ def cmd_orbits(cfg, args):
         k, l = _parse_type(args.type)
         records = [r for r in records if r.k == k and r.l == l]
 
-    if cfg.fmt == "json":
+    if args.format == "json":
         _emit_json({"q": str(q), "fused": bool(args.fuse), "rows": [
             {"form": r.form, "i": str(r.i),
              "e1": str(r.key[0]), "e2": str(r.key[1]), "u": str(r.key[2]),
@@ -394,7 +386,7 @@ def cmd_orbits(cfg, args):
              "k": str(r.k), "l": str(r.l), "reflexible": r.reflexible,
              "pos_sd": r.pos_selfdual, "neg_sd": r.neg_selfdual}
             for r in records]})
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _emit_csv(
             ["form", "i", "e1", "e2", "u", "size", "level", "k", "l",
              "reflexible", "pos_sd", "neg_sd"],
@@ -463,11 +455,10 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(command=args.command, fmt=args.format, seed=args.seed)
     handlers = {"count": cmd_count, "verify": cmd_verify,
                 "selfdual": cmd_selfdual, "orbits": cmd_orbits}
     try:
-        return handlers[cfg.command](cfg, args)
+        return handlers[args.command](args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -31,29 +31,26 @@ from .numth import divisors, odd_part, odd_prime_power
 from .twisted_group import TwElem, conjugate, identity, mat_frob, order
 
 
-def _lam(F, cls):
-    return F.pow(F.xi, cls.i)
-
-
 def _lam_sigma(F, cls):
-    return F.frobenius(_lam(F, cls), F.m // 2)
+    return F.frobenius(F.pow(F.xi, cls.i), F.m // 2)
 
 
 # ---------------------------------------------------------------------------
 # quads <-> pairs
 
 def quad_pair(F, cls, quad):
-    """The normalized map pair encoded by a quad against one class."""
+    """The normalized map pair encoded by a quad against one class; raises
+    ValueError unless u is the non-square first*second + lam^sigma."""
     first, second, u = quad
     ls = _lam_sigma(F, cls)
+    if F.add(F.mul(first, second), ls) != u or F.is_square(u):
+        raise ValueError("quad %r is not admissible against %r" % (quad, cls))
     y = canonical_rep(cls, F)
     if cls.form == "dia":
         A = (F.neg(1), first, second, ls)
     else:
         A = (first, ls, F.neg(1), second)
-    x = TwElem(F, A, 1)
-    assert F.add(F.mul(first, second), ls) == u
-    return x, y
+    return TwElem(F, A, 1), y
 
 
 def pair_quad(F, cls, x):
@@ -127,23 +124,25 @@ def class_quads(F, cls):
 # stabilizer orbits
 
 def act_quad(F, cls, g, quad):
-    """Image of a quad under conjugating its x by a stabilizer element of y."""
+    """Image of a quad under conjugating its x by a stabilizer element of y:
+    the one-step reference for the walk orbit_partition makes per orbit."""
     x, _ = quad_pair(F, cls, quad)
     return pair_quad(F, cls, conjugate(x, g))
 
 
-def orbit_partition(F, cls, quads=None):
-    """Partition of the class block into stabilizer orbits; semiregularity
-    (orbit length == stabilizer size) is asserted for every orbit."""
-    if quads is None:
-        quads = class_quads(F, cls)
+def orbit_partition(F, cls):
+    """Partition of the class block into sorted stabilizer orbits, walking
+    each once: the pair of its first quad is built once and conjugated by
+    every stabilizer element.  Semiregularity (orbit length == stabilizer
+    size) is asserted for every orbit."""
     stab = stabilizer_elements(cls, F)
     seen = set()
     orbits = []
-    for quad in quads:
+    for quad in class_quads(F, cls):
         if quad in seen:
             continue
-        orbit = {act_quad(F, cls, g, quad) for g in stab}
+        x, _ = quad_pair(F, cls, quad)
+        orbit = {pair_quad(F, cls, conjugate(x, g)) for g in stab}
         assert len(orbit) == len(stab), "stabilizer action must be semiregular"
         assert quad in orbit
         seen.update(orbit)
@@ -220,9 +219,10 @@ def generated_level(pair):
 
 
 def closure_order(pair, cap=10 ** 6):
-    """Size of the subgroup generated by the pair, by breadth-first closure."""
+    """Size of the subgroup generated by the pair, by breadth-first closure
+    over positive words (in a finite group they already form the subgroup)."""
     x, y = pair
-    gens = (x, y, x.inv(), y.inv())
+    gens = (x, y)
     seen = {identity(x.F)}
     frontier = [identity(x.F)]
     while frontier:
@@ -309,8 +309,12 @@ def galois_fuse(orbits, p, f):
     """Group per-class orbits into bundles identified under the entrywise
     Frobenius action; returns a list of bundles of (class, orbit index).
 
-    Orbits of pairs generating the full group fall into bundles of size
-    exactly f; orbits conjugate into proper subfield subgroups may fuse less.
+    The Galois group is cyclic, generated by the p-power Frobenius phi, and
+    phi^f is conjugation by [I, 1], which fixes every orbit.  So a bundle is
+    the Frobenius image set of its first orbit, asserted disjoint from the
+    bundles before it.  Orbits of pairs generating the full group fall into
+    bundles of size exactly f; orbits conjugate into proper subfield
+    subgroups may fuse less.
     """
     F = make_field(p, 2 * f)
     locate = {}
@@ -319,34 +323,24 @@ def galois_fuse(orbits, p, f):
             for quad in orbit:
                 locate[(cls, quad)] = (cls, idx)
 
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for cls, cls_orbits in orbits.items():
-        for idx in range(len(cls_orbits)):
-            parent.setdefault((cls, idx), (cls, idx))
+    placed = set()
+    bundles = []
     for cls, cls_orbits in orbits.items():
         for idx, orbit in enumerate(cls_orbits):
+            if (cls, idx) in placed:
+                continue
             pair = quad_pair(F, cls, orbit[0])
-            for j in range(1, f):
-                other = locate[pair_key(F, *_phi_pair(pair, j))]
-                ra, rb = find((cls, idx)), find(other)
-                if ra != rb:
-                    parent[ra] = rb
-
-    bundles = {}
-    for key in parent:
-        bundles.setdefault(find(key), []).append(key)
+            bundle = {(cls, idx)}
+            bundle.update(locate[pair_key(F, *_phi_pair(pair, j))]
+                          for j in range(1, f))
+            assert placed.isdisjoint(bundle), "Frobenius images must be closed"
+            placed |= bundle
+            bundles.append(bundle)
 
     def member_key(t):
         return (t[0].form, t[0].i, t[1])
 
-    out = [sorted(b, key=member_key) for b in bundles.values()]
+    out = [sorted(b, key=member_key) for b in bundles]
     out.sort(key=lambda b: [member_key(t) for t in b])
     return out
 

@@ -53,7 +53,7 @@ class TwElem:
     """An element [A, i] of Gbar, stored with A scaled so its first nonzero
     entry (row-major) is 1.  The field must have even extension degree."""
 
-    __slots__ = ("F", "a", "b", "c", "d", "i")
+    __slots__ = ("F", "matrix", "i")
 
     def __init__(self, F, A, i):
         assert F.m % 2 == 0, "Gbar needs a quadratic extension field"
@@ -67,12 +67,8 @@ class TwElem:
         if F.sub(F.mul(a, d), F.mul(b, c)) == 0:
             raise ValueError("singular matrix")
         self.F = F
-        self.a, self.b, self.c, self.d = a, b, c, d
+        self.matrix = (a, b, c, d)
         self.i = i & 1
-
-    @property
-    def matrix(self):
-        return (self.a, self.b, self.c, self.d)
 
     def det(self):
         return mat_det(self.F, self.matrix)
@@ -111,7 +107,7 @@ class TwElem:
                 and self.matrix == other.matrix)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d, self.i))
+        return hash((self.matrix, self.i))
 
     def __repr__(self):
         F = self.F

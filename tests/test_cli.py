@@ -130,6 +130,16 @@ def test_verify_bruteforce_q3_includes_closure_samples(capsys):
     assert "selfdual-off-both" in out
 
 
+def test_bruteforce_output_matches_benchmark_record(capsys):
+    # the benchmark byte-checks these legs too; here drift shows in Tier-1
+    expected = json.loads(
+        (ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
+    for q in (3, 5, 7, 9):
+        key = "verify --q %d --level bruteforce" % q
+        code, out, _ = run(capsys, key.split())
+        assert (code, out) == (expected[key]["exit"], expected[key]["stdout"])
+
+
 def test_verify_bruteforce_gate_and_force(capsys):
     code, _, err = run(capsys, ["verify", "--q", "11",
                                 "--level", "bruteforce"])

@@ -1,22 +1,43 @@
 """Brute-force layer: enumeration, partitions, searches, and the ways they
 corroborate the closed-form counts."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from twistedmaps import oracle
 from twistedmaps.canonical import (CanonClass, all_classes, canonical_order,
-                                   is_exceptional, stabilizer_size)
+                                   is_exceptional, stabilizer_elements,
+                                   stabilizer_size)
 from twistedmaps.census import (count_maps, orbit_counts,
                                 reflexible_orbit_counts, type_obstruction)
 from twistedmaps.gfield import make_field
-from twistedmaps.oracle import (SELFDUAL_TABLE, brute_reflexible, class_quads,
-                                closure_order, fused_records, galois_fuse,
-                                generated_level, is_reflexible,
-                                orbit_count_summary, orbit_records, pair_quad,
-                                quad_pair, self_duality, selfdual_cells)
+from twistedmaps.oracle import (SELFDUAL_TABLE, act_quad, brute_reflexible,
+                                class_quads, closure_order, enumerate_orbits,
+                                fused_records, galois_fuse, generated_level,
+                                is_reflexible, orbit_count_summary,
+                                orbit_records, pair_quad, quad_pair,
+                                self_duality, selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
                                        order)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name; the returned one-item list counts its calls."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def test_block_sizes_at_tiny_q(F9, F25):
@@ -48,6 +69,36 @@ def test_quads_are_distinct_and_round_trip(F25):
         for quad in quads[::7]:
             x, y = quad_pair(F25, cls, quad)
             assert pair_quad(F25, cls, x) == quad
+
+
+def test_quad_pair_rejects_inadmissible_quads(F25):
+    cls = CanonClass("dia", 1)
+    first, second, u = next(class_quads(F25, cls))
+    ls = F25.sub(u, F25.mul(first, second))
+    with pytest.raises(ValueError):
+        quad_pair(F25, cls, (1, 1, 1))  # u is not first*second + lam^sigma
+    square = F25.mul(3, 3)
+    with pytest.raises(ValueError):
+        quad_pair(F25, cls, (1, F25.sub(square, ls), square))
+
+
+def test_quad_pair_rejects_inadmissible_quads_under_optimize():
+    # the check must not be an assert, which -O strips
+    code = textwrap.dedent("""
+        from twistedmaps.canonical import CanonClass
+        from twistedmaps.gfield import make_field
+        from twistedmaps.oracle import quad_pair
+        try:
+            quad_pair(make_field(5, 2), CanonClass("dia", 1), (1, 1, 1))
+        except ValueError:
+            raise SystemExit(0)
+        raise SystemExit("quad_pair accepted an inadmissible quad")
+    """)
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_pairs_have_involutory_product_and_canonical_y(F9, F25):
@@ -98,6 +149,29 @@ def test_orbits_cover_every_quad_once(F25, orbits5):
         seen = [quad for orbit in cls_orbits for quad in orbit]
         assert sorted(seen) == sorted(class_quads(F25, cls))
         assert len(set(seen)) == len(seen)
+
+
+def test_act_quad_keeps_each_orbit(F25, orbits5):
+    # act_quad is the one-step reference for the partition's orbit walk
+    for cls, cls_orbits in orbits5.items():
+        stab = stabilizer_elements(cls, F25)
+        for orbit in cls_orbits:
+            members = set(orbit)
+            assert all(act_quad(F25, cls, g, orbit[0]) in members
+                       for g in stab)
+
+
+def test_partition_builds_one_pair_per_orbit(monkeypatch):
+    calls = _count_calls(monkeypatch, oracle, "quad_pair")
+    orbits = enumerate_orbits(5)
+    assert sum(len(o) for o in orbits.values()) == 69
+    assert calls[0] == 69
+
+
+def test_fusion_looks_up_images_once_per_bundle(orbits9, monkeypatch):
+    calls = _count_calls(monkeypatch, oracle, "pair_key")
+    assert len(galois_fuse(orbits9, 3, 2)) == 395
+    assert calls[0] == 395  # one image per bundle of two, not per orbit
 
 
 def test_reflexible_tallies_match_formulas(orbits3, orbits5):
@@ -218,6 +292,15 @@ def test_closure_reaches_the_whole_group_q3(F9, orbits3):
         for orbit in cls_orbits:
             pair = quad_pair(F9, cls, orbit[0])
             assert closure_order(pair) == 720  # |M(9)| = 9 * 80
+
+
+def test_closure_multiplies_by_positive_generators_only(F9, orbits3,
+                                                         monkeypatch):
+    cls = CanonClass("off", 1)
+    pair = quad_pair(F9, cls, orbits3[cls][0][0])
+    calls = _count_calls(monkeypatch, TwElem, "__mul__")
+    assert closure_order(pair) == 720
+    assert calls[0] == 2 * 720  # each element times x and times y
 
 
 def test_closure_reaches_the_whole_group_q5_sampled(F25, orbits5):
