@@ -26,7 +26,7 @@ for cls, cls_orbits in orbits.items():
     assert sizes == {stabilizer_size(cls, q)}
 print()
 
-summary = orbit_count_summary(q, orbits=orbits)
+summary = orbit_count_summary(q, orbits)
 expected = orbit_counts(q)
 print("%-18s %10s %10s" % ("kind", "formula", "oracle"))
 for key in ("dia_generic", "dia_exceptional", "off_generic",
@@ -35,7 +35,7 @@ for key in ("dia_generic", "dia_exceptional", "off_generic",
     assert expected[key] == summary[key]
 print()
 
-records = orbit_records(q, orbits=orbits)
+records = orbit_records(q, orbits)
 tally = {form: sum(1 for r in records if r.form == form and r.reflexible)
          for form in ("dia", "off")}
 rexpected = reflexible_orbit_counts(q)

@@ -7,8 +7,7 @@ can be played against each other.
 
 from .canonical import (CanonClass, all_classes, canonical_form,
                         canonical_order, canonical_rep, class_size,
-                        is_exceptional, stabilizer_elements, stabilizer_size,
-                        twisted_conjugate_test)
+                        is_exceptional, stabilizer_elements, stabilizer_size)
 from .census import (CensusReport, build_report, count_generating_orbits,
                      count_maps, count_reflexible_maps, orbit_counts,
                      reflexible_orbit_counts, total_orbits,
@@ -29,6 +28,5 @@ __all__ = [
     "orbit_counts", "orbit_records", "order", "reflexible_orbit_counts",
     "selfdual_cells",
     "stabilizer_elements", "stabilizer_size", "total_orbits",
-    "total_reflexible_orbits", "twisted_conjugate_test", "twisted_divisors",
-    "type_obstruction",
+    "total_reflexible_orbits", "twisted_divisors", "type_obstruction",
 ]

@@ -146,17 +146,6 @@ def canonical_form(x):
     return c, witness
 
 
-def twisted_conjugate_test(x, y):
-    """(same_class, g) with conjugate(x, g) == y when conjugate in Gbar."""
-    cx, wx = canonical_form(x)
-    cy, wy = canonical_form(y)
-    if cx != cy:
-        return False, None
-    g = wx * wy.inv()
-    assert conjugate(x, g) == y
-    return True, g
-
-
 # ---------------------------------------------------------------------------
 
 def stabilizer_elements(c, F):

@@ -2,14 +2,17 @@
 self-duality tables and orbit listings.
 
 Exit codes: 0 success / all comparisons pass, 1 at least one mismatch,
-2 usage error, 3 resource guard tripped.  Output is deterministic for a
-fixed invocation.
+2 usage error (also any run under python -O, which would strip the
+oracle's invariant asserts), 3 resource guard tripped, 4 an internal
+invariant failed.  Output is deterministic for a fixed invocation.
 """
 
 import argparse
 import json
+import os
 import random
 import sys
+import traceback
 
 from . import census, oracle
 from .canonical import all_classes, is_exceptional
@@ -201,7 +204,7 @@ def _formula_checks(q, p, f):
 
 def _count_checks(q, orbits):
     expected = census.orbit_counts(q)
-    summary = oracle.orbit_count_summary(q, orbits=orbits)
+    summary = oracle.orbit_count_summary(q, orbits)
     return [("orbits-" + k, expected[k], summary[k]) for k in ORBIT_KEYS]
 
 
@@ -209,7 +212,7 @@ def _oracle_compute(q, p, f):
     """One oracle pass: partition once, build each orbit record once, fuse
     once when f > 1, and aggregate everything from those results."""
     orbits = oracle.enumerate_orbits(q)
-    records = oracle.orbit_records(q, orbits=orbits)
+    records = oracle.orbit_records(q, orbits)
     have = {
         "orbits": orbits,
         "reflexible": {form: sum(1 for r in records
@@ -221,7 +224,7 @@ def _oracle_compute(q, p, f):
         bundles = oracle.galois_fuse(orbits, p, f)
         have["bundles"] = len(bundles)
         have["size_violations"] = sum(1 for b in bundles if len(b) != f)
-        records = oracle.fused_records(orbits, records, bundles)
+        records = oracle.fused_records(records, bundles)
     have["selfdual"] = oracle.selfdual_cells(
         [r for r in records if r.level == f])
     return have
@@ -370,10 +373,10 @@ def cmd_orbits(args):
         raise ResourceLimitError(
             "orbit listing is capped at q <= %d (see --bound)" % args.bound)
     orbits = oracle.enumerate_orbits(q)
-    records = oracle.orbit_records(q, orbits=orbits)
+    records = oracle.orbit_records(q, orbits)
     if args.fuse and f > 1:
-        records = oracle.fused_records(
-            orbits, records, oracle.galois_fuse(orbits, p, f))
+        records = oracle.fused_records(records,
+                                       oracle.galois_fuse(orbits, p, f))
     if args.type:
         k, l = _parse_type(args.type)
         records = [r for r in records if r.k == k and r.l == l]
@@ -450,6 +453,10 @@ def _build_parser():
 
 
 def main(argv=None):
+    if sys.flags.optimize:
+        print("error: refusing to run under python -O, which strips the "
+              "oracle's invariant checks", file=sys.stderr)
+        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -465,6 +472,12 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print("error: internal invariant failed: %s (%s:%d)"
+              % (exc or "assert", os.path.basename(where.filename),
+                 where.lineno), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

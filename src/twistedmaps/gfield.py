@@ -120,7 +120,6 @@ class Field:
         self.size = size
         self.modulus = self._find_modulus()
         self._build_tables()
-        self._embed_roots = {}
 
     def _find_modulus(self):
         # first monic irreducible of degree m in packed-integer order on the
@@ -284,33 +283,23 @@ class Field:
         step = n // nd
         return [self.exp[k * step] for k in range(nd)]
 
-    def _embed_root(self, sub):
-        """Least root here of sub's modulus polynomial; determines the
-        canonical field embedding of sub.  Cached per source field."""
-        key = (sub.p, sub.m, sub.modulus)
-        root = self._embed_roots.get(key)
-        if root is None:
-            g = list(sub.modulus) + [1]
-            for cand in sorted(self.subfield_units(sub.m)):
-                acc = 0
-                for coef in reversed(g):
-                    acc = self.add(self.mul(acc, cand), coef)
-                if acc == 0:
-                    root = cand
-                    break
-            assert root is not None, "modulus must split in the extension"
-            self._embed_roots[key] = root
-        return root
-
     def embed_from(self, sub, x):
         """Image of x under the canonical field embedding of sub = GF(p^d)
         into this field (a ring homomorphism; its image is the GF(p^d) copy
-        here).  Requires d | m."""
+        here), which sends sub's generator to the least root here of sub's
+        modulus polynomial.  Requires d | m."""
         assert sub.p == self.p and self.m % sub.m == 0
-        root = self._embed_root(sub)
+        g = list(sub.modulus) + [1]
+        root = next((c for c in sorted(self.subfield_units(sub.m))
+                     if self._horner(g, c) == 0), None)
+        assert root is not None, "modulus must split in the extension"
+        return self._horner(sub.coeffs(x), root)
+
+    def _horner(self, coeffs, z):
+        """Value at z of the polynomial with coefficients low degree first."""
         acc = 0
-        for coef in reversed(sub.coeffs(x)):
-            acc = self.add(self.mul(acc, root), coef)
+        for coef in reversed(coeffs):
+            acc = self.add(self.mul(acc, z), coef)
         return acc
 
     # -- element plumbing ----------------------------------------------------

@@ -18,8 +18,9 @@ A map is an orbit, so every per-map question is whether some image pair lies
 in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
 self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
 Frobenius image.  pair_key answers all of them by naming the orbit of any
-admissible pair as (class, quad).  The explicit conjugator searches are kept
-only as witness references for the tests.
+admissible pair as (class, quad), and each stage past the partition names an
+orbit as its record does, (class, least quad).  The explicit conjugator
+searches are kept only as witness references for the tests.
 """
 
 from dataclasses import dataclass
@@ -157,10 +158,8 @@ def enumerate_orbits(q):
     return {cls: orbit_partition(F, cls) for cls in all_classes(q)}
 
 
-def orbit_count_summary(q, orbits=None):
+def orbit_count_summary(q, orbits):
     """Orbit totals per class kind, keyed like census.orbit_counts."""
-    if orbits is None:
-        orbits = enumerate_orbits(q)
     out = {"dia_generic": 0, "dia_exceptional": 0,
            "off_generic": 0, "off_exceptional": 0}
     for cls, cls_orbits in orbits.items():
@@ -307,32 +306,29 @@ def _phi_pair(pair, j):
 
 def galois_fuse(orbits, p, f):
     """Group per-class orbits into bundles identified under the entrywise
-    Frobenius action; returns a list of bundles of (class, orbit index).
+    Frobenius action; returns a list of bundles of (class, key), key being
+    an orbit's least quad as in its OrbitRec.
 
     The Galois group is cyclic, generated by the p-power Frobenius phi, and
     phi^f is conjugation by [I, 1], which fixes every orbit.  So a bundle is
-    the Frobenius image set of its first orbit, asserted disjoint from the
-    bundles before it.  Orbits of pairs generating the full group fall into
-    bundles of size exactly f; orbits conjugate into proper subfield
-    subgroups may fuse less.
+    the Frobenius image set of its first orbit, named through a per-class
+    dict from quad to key and asserted disjoint from the bundles before it.
+    Orbits of pairs generating the full group fall into bundles of size
+    exactly f; orbits conjugate into proper subfield subgroups may fuse less.
     """
     F = make_field(p, 2 * f)
-    locate = {}
-    for cls, cls_orbits in orbits.items():
-        for idx, orbit in enumerate(cls_orbits):
-            for quad in orbit:
-                locate[(cls, quad)] = (cls, idx)
-
+    key_of = {cls: {quad: orbit[0] for orbit in cls_orbits for quad in orbit}
+              for cls, cls_orbits in orbits.items()}
     placed = set()
     bundles = []
     for cls, cls_orbits in orbits.items():
-        for idx, orbit in enumerate(cls_orbits):
-            if (cls, idx) in placed:
+        for orbit in cls_orbits:
+            if (cls, orbit[0]) in placed:
                 continue
             pair = quad_pair(F, cls, orbit[0])
-            bundle = {(cls, idx)}
-            bundle.update(locate[pair_key(F, *_phi_pair(pair, j))]
-                          for j in range(1, f))
+            images = (pair_key(F, *_phi_pair(pair, j)) for j in range(1, f))
+            bundle = {(cls, orbit[0])}
+            bundle.update((c, key_of[c][quad]) for c, quad in images)
             assert placed.isdisjoint(bundle), "Frobenius images must be closed"
             placed |= bundle
             bundles.append(bundle)
@@ -399,12 +395,10 @@ def _record_for(F, cls, orbit, orders):
     )
 
 
-def orbit_records(q, orbits=None):
+def orbit_records(q, orbits):
     """Deterministically ordered OrbitRec rows for every orbit at one q."""
     p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
-    if orbits is None:
-        orbits = enumerate_orbits(q)
     orders = {cls: order(canonical_rep(cls, F)) for cls in all_classes(q)}
     recs = [_record_for(F, cls, orbit, orders)
             for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
@@ -412,15 +406,14 @@ def orbit_records(q, orbits=None):
     return recs
 
 
-def fused_records(orbits, records, bundles):
-    """One aggregated record per Galois bundle of galois_fuse(orbits, ...),
-    built from the orbit_records of the same orbits; flags and type must
-    agree across the bundle and are asserted to."""
+def fused_records(records, bundles):
+    """One aggregated record per Galois bundle of (class, key) members, each
+    the key of one of the records given; flags and type must agree across
+    the bundle and are asserted to."""
     by_key = {(r.form, r.i, r.key): r for r in records}
     out = []
     for bundle in bundles:
-        members = [by_key[(cls.form, cls.i, orbits[cls][idx][0])]
-                   for cls, idx in bundle]
+        members = [by_key[(cls.form, cls.i, key)] for cls, key in bundle]
         head = members[0]
         for m in members[1:]:
             assert (m.form, m.k, m.l, m.level, m.reflexible, m.pos_selfdual,

@@ -70,9 +70,6 @@ class TwElem:
         self.matrix = (a, b, c, d)
         self.i = i & 1
 
-    def det(self):
-        return mat_det(self.F, self.matrix)
-
     def __mul__(self, other):
         F = self.F
         Y = other.matrix

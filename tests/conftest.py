@@ -50,10 +50,15 @@ def orbits5():
 
 
 @pytest.fixture(scope="session")
+def orbits7():
+    return enumerate_orbits(7)
+
+
+@pytest.fixture(scope="session")
 def orbits9():
     return enumerate_orbits(9)
 
 
 @pytest.fixture(scope="session")
 def records9(orbits9):
-    return orbit_records(9, orbits=orbits9)
+    return orbit_records(9, orbits9)

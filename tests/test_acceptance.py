@@ -43,7 +43,7 @@ def test_criterion_01_smallest_census_formula_equals_enumeration():
     bad = []
     if census.count_maps(3, 1) != 7:
         bad.append("formula gives %d maps" % census.count_maps(3, 1))
-    total = orbit_count_summary(3)["total"]
+    total = orbit_count_summary(3, enumerate_orbits(3))["total"]
     if total != 7:
         bad.append("enumeration gives %d orbits" % total)
     _criterion("1", "q=3 census: 7 = 7", t0, bad, budget=5)
@@ -53,11 +53,11 @@ def test_criterion_02_q5_totals_and_reflexible():
     t0 = time.time()
     bad = []
     orbits = enumerate_orbits(5)
-    total = orbit_count_summary(5, orbits=orbits)["total"]
+    total = orbit_count_summary(5, orbits)["total"]
     if (census.count_maps(5, 1), total) != (69, 69):
         bad.append("totals %d vs %d"
                     % (census.count_maps(5, 1), total))
-    refl = sum(r.reflexible for r in orbit_records(5, orbits=orbits))
+    refl = sum(r.reflexible for r in orbit_records(5, orbits))
     if (census.count_reflexible_maps(5, 1), refl) != (39, 39):
         bad.append("reflexible %d vs %d"
                     % (census.count_reflexible_maps(5, 1), refl))
@@ -68,13 +68,13 @@ def test_criterion_03_q7_per_form_counts():
     t0 = time.time()
     bad = []
     orbits = enumerate_orbits(7)
-    summary = orbit_count_summary(7, orbits=orbits)
+    summary = orbit_count_summary(7, orbits)
     expected = census.orbit_counts(7)
     for key in ("dia_generic", "dia_exceptional", "off_generic",
                 "off_exceptional", "total"):
         if summary[key] != expected[key]:
             bad.append("%s %d vs %d" % (key, expected[key], summary[key]))
-    recs = orbit_records(7, orbits=orbits)
+    recs = orbit_records(7, orbits)
     rexp = census.reflexible_orbit_counts(7)
     for form in ("dia", "off"):
         got = sum(1 for r in recs if r.form == form and r.reflexible)
@@ -101,24 +101,22 @@ def test_criterion_04_q9_fusion():
                budget=900)
 
 
-def _map_records(q, orbits=None, records=None):
+def _map_records(q, orbits, records=None):
     """Fused records at level f: one per map class over GF(q^2)."""
     p, f = prime_power(q)
-    if orbits is None:
-        orbits = enumerate_orbits(q)
     if records is None:
-        records = orbit_records(q, orbits=orbits)
+        records = orbit_records(q, orbits)
     if f > 1:
-        records = fused_records(orbits, records, galois_fuse(orbits, p, f))
+        records = fused_records(records, galois_fuse(orbits, p, f))
     return [r for r in records if r.level == f]
 
 
-def test_criterion_05_reference_table_small_q(orbits3, orbits5, orbits9,
-                                              records9):
+def test_criterion_05_reference_table_small_q(orbits3, orbits5, orbits7,
+                                              orbits9, records9):
     t0 = time.time()
     bad = []
     for q, orbits, records in ((3, orbits3, None), (5, orbits5, None),
-                               (7, None, None), (9, orbits9, records9)):
+                               (7, orbits7, None), (9, orbits9, records9)):
         table = selfdual_cells(_map_records(q, orbits, records))
         for form in ("dia", "off"):
             if table[form] != SELFDUAL_TABLE[q][form]:
@@ -132,7 +130,7 @@ def test_criterion_05_reference_table_small_q(orbits3, orbits5, orbits9,
 def test_criterion_05_reference_table_extended(q):
     t0 = time.time()
     bad = []
-    maps = _map_records(q)
+    maps = _map_records(q, enumerate_orbits(q))
     table = selfdual_cells(maps)
     for form in ("dia", "off"):
         if table[form] != SELFDUAL_TABLE[q][form]:

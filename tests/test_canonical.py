@@ -152,15 +152,17 @@ def test_distinct_eigenvalue_dichotomy_sampled():
 
 
 def test_twisted_conjugate_test_full_q3(F9):
+    # x and y are Gbar-conjugate exactly when they share a canonical class,
+    # and then the two witnesses compose into a conjugator
+    everything = list(tg.all_group_elements(F9, "Gbar"))
+    gbar_class = {c: {tg.conjugate(cn.canonical_rep(c, F9), g)
+                      for g in everything} for c in cn.all_classes(3)}
     twisted = [x for x in tg.all_group_elements(F9, "G") if x.i == 1]
     rng = random.Random(77)
     for _ in range(400):
         x, y = rng.choice(twisted), rng.choice(twisted)
-        same, g = cn.twisted_conjugate_test(x, y)
-        cx, _ = cn.canonical_form(x)
-        cy, _ = cn.canonical_form(y)
-        assert same == (cx == cy)
-        if same:
-            assert tg.conjugate(x, g) == y
-        else:
-            assert g is None
+        cx, wx = cn.canonical_form(x)
+        cy, wy = cn.canonical_form(y)
+        assert (cx == cy) == (y in gbar_class[cx])
+        if cx == cy:
+            assert tg.conjugate(x, wx * wy.inv()) == y

@@ -4,14 +4,16 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import venv
 from pathlib import Path
 
 import pytest
 
-from twistedmaps import oracle
+from twistedmaps import census, oracle
 from twistedmaps.canonical import all_classes
 from twistedmaps.cli import main
+from twistedmaps.numth import divisors, mobius
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -264,6 +266,31 @@ def test_help_and_missing_subcommand(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_refuses_to_run_under_optimize():
+    # -O strips every assert the oracle checks its invariants with
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "twistedmaps.cli", "verify", "--q", "3",
+         "--level", "bruteforce"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "-O" in proc.stderr
+
+
+def test_internal_invariant_failure_exits_4(capsys, monkeypatch):
+    # Moebius over every divisor of f (not only those with f/e odd) leaves
+    # a generating-orbit count that count_maps asserts f divides
+    def all_divisors(p, f):
+        return sum(mobius(f // e) * census.total_orbits(p ** e)
+                   for e in divisors(f))
+
+    monkeypatch.setattr(census, "count_generating_orbits", all_divisors)
+    code, out, err = run(capsys, ["count", "--p", "3", "--f", "2"])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: internal invariant failed: Galois action "
+                          "must be free on generating orbits (census.py:")
 
 
 def test_console_script_is_installed(tmp_path):

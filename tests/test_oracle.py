@@ -1,11 +1,13 @@
 """Brute-force layer: enumeration, partitions, searches, and the ways they
 corroborate the closed-form counts."""
 
+import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from twistedmaps.oracle import (SELFDUAL_TABLE, act_quad, brute_reflexible,
                                 orbit_records, pair_quad, quad_pair,
                                 self_duality, selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
-                                       order)
+                                       mat_frob, order)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -130,9 +132,9 @@ def test_exceptional_blocks_drop_order4_partners(F9, F25):
     assert checked == 2
 
 
-def test_orbit_counts_match_closed_forms_small_q(orbits3, orbits5):
-    for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
-        summary = orbit_count_summary(q, orbits=orbits)
+def test_orbit_counts_match_closed_forms_small_q(orbits3, orbits5, orbits7):
+    for q, orbits in ((3, orbits3), (5, orbits5), (7, orbits7)):
+        summary = orbit_count_summary(q, orbits)
         assert summary == orbit_counts(q)
 
 
@@ -174,9 +176,9 @@ def test_fusion_looks_up_images_once_per_bundle(orbits9, monkeypatch):
     assert calls[0] == 395  # one image per bundle of two, not per orbit
 
 
-def test_reflexible_tallies_match_formulas(orbits3, orbits5):
-    for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
-        recs = orbit_records(q, orbits=orbits)
+def test_reflexible_tallies_match_formulas(orbits3, orbits5, orbits7):
+    for q, orbits in ((3, orbits3), (5, orbits5), (7, orbits7)):
+        recs = orbit_records(q, orbits)
         expect = reflexible_orbit_counts(q)
         for form in ("dia", "off"):
             got = sum(1 for r in recs if r.form == form and r.reflexible)
@@ -184,12 +186,13 @@ def test_reflexible_tallies_match_formulas(orbits3, orbits5):
         assert sum(r.reflexible for r in recs) == expect["total"]
 
 
-def test_record_flags_agree_with_conjugator_witnesses(orbits3, orbits5):
+def test_record_flags_agree_with_conjugator_witnesses(orbits3, orbits5,
+                                                      orbits7):
     # the records test orbit membership of the inverted and swapped pairs;
     # the references search the stabilizer for an explicit conjugator
-    for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
+    for q, orbits in ((3, orbits3), (5, orbits5), (7, orbits7)):
         F = make_field(q, 2)
-        for r in orbit_records(q, orbits=orbits):
+        for r in orbit_records(q, orbits):
             pair = quad_pair(F, CanonClass(r.form, r.i), r.key)
             assert r.reflexible == (is_reflexible(pair) is not None)
             if r.k == r.l:
@@ -243,11 +246,11 @@ def test_selfduality_requires_equal_orders(F9, orbits3):
         self_duality(pair)
 
 
-def test_selfdual_table_matches_reference_rows(orbits3, orbits5):
+def test_selfdual_table_matches_reference_rows(orbits3, orbits5, orbits7):
     # at prime q fusion is trivial, so the fused records at level f are
     # the level-1 orbit records
-    for q, orbits in ((3, orbits3), (5, orbits5), (7, None)):
-        maps = [r for r in orbit_records(q, orbits=orbits) if r.level == 1]
+    for q, orbits in ((3, orbits3), (5, orbits5), (7, orbits7)):
+        maps = [r for r in orbit_records(q, orbits) if r.level == 1]
         assert selfdual_cells(maps) == {"dia": SELFDUAL_TABLE[q]["dia"],
                                         "off": SELFDUAL_TABLE[q]["off"]}
         assert len(maps) == count_maps(q, 1)
@@ -313,7 +316,7 @@ def test_closure_reaches_the_whole_group_q5_sampled(F25, orbits5):
 
 
 def test_levels_are_the_only_admissible_ones(orbits3, records9):
-    recs3 = orbit_records(3, orbits=orbits3)
+    recs3 = orbit_records(3, orbits3)
     assert all(r.level == 1 for r in recs3)
     assert len(recs3) == 7
     # f = 2 admits no proper twisted level, so everything generates
@@ -348,16 +351,69 @@ def test_galois_fusion_at_q9(orbits9, records9):
     bundles = galois_fuse(orbits9, 3, 2)
     assert len(bundles) == 395
     assert all(len(b) == 2 for b in bundles)
-    fused = fused_records(orbits9, records9, bundles)
+    fused = fused_records(records9, bundles)
     assert len(fused) == 395
     assert sum(r.size for r in fused) == sum(r.size for r in records9)
     assert selfdual_cells(fused) == {"dia": SELFDUAL_TABLE[9]["dia"],
                                      "off": SELFDUAL_TABLE[9]["off"]}
 
 
+def test_fusion_bundles_name_orbits_by_record_key(F81, orbits9, records9):
+    bundles = galois_fuse(orbits9, 3, 2)
+    heads = {(cls, orbit[0]) for cls, cls_orbits in orbits9.items()
+             for orbit in cls_orbits}
+    assert all(member in heads for b in bundles for member in b)
+    # the positional fusion this replaces: orbits named (class, index), the
+    # Frobenius image of every orbit located through a quad -> name dict,
+    # and members aggregated after looking their keys up by index
+    locate = {(cls, quad): (cls, idx) for cls, cls_orbits in orbits9.items()
+              for idx, orbit in enumerate(cls_orbits) for quad in orbit}
+    old = set()
+    for cls, cls_orbits in orbits9.items():
+        for idx, orbit in enumerate(cls_orbits):
+            phi_x, phi_y = (TwElem(F81, mat_frob(F81, g.matrix, 1), g.i)
+                            for g in quad_pair(F81, cls, orbit[0]))
+            image = locate[oracle.pair_key(F81, phi_x, phi_y)]
+            old.add(frozenset({(cls, idx), image}))
+    by_key = {(r.form, r.i, r.key): r for r in records9}
+
+    def aggregate(members):
+        least = min(members, key=lambda m: (m.i, m.key))
+        return replace(members[0], i=least.i, key=least.key,
+                       size=sum(m.size for m in members))
+
+    old_fused = [aggregate([by_key[(cls.form, cls.i, orbits9[cls][idx][0])]
+                            for cls, idx in b]) for b in old]
+    old_fused.sort(key=lambda r: (r.form, r.i, r.key))
+    assert fused_records(records9, bundles) == old_fused
+
+
+@pytest.mark.stretch
+def test_fusion_at_q27_stays_below_600_mb():
+    # partition plus fusion in a fresh process, so ru_maxrss is theirs
+    code = textwrap.dedent("""
+        import json, resource
+        from collections import Counter
+        from twistedmaps.oracle import enumerate_orbits, galois_fuse
+        bundles = galois_fuse(enumerate_orbits(27), 3, 3)
+        print(json.dumps({
+            "sizes": sorted(Counter(len(b) for b in bundles).items()),
+            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+    """)
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=1800)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["sizes"] == [[1, 7], [3, 22050]]
+    assert count_maps(3, 3) == 22050
+    assert got["maxrss_kb"] < 600 * 1024, got["maxrss_kb"]
+
+
 def test_fusion_is_trivial_at_prime_q(orbits3):
-    recs = orbit_records(3, orbits=orbits3)
-    assert fused_records(orbits3, recs, galois_fuse(orbits3, 3, 1)) == recs
+    recs = orbit_records(3, orbits3)
+    assert fused_records(recs, galois_fuse(orbits3, 3, 1)) == recs
 
 
 def test_records_are_sorted_and_unique(records9):
@@ -368,8 +424,8 @@ def test_records_are_sorted_and_unique(records9):
 
 def test_record_types_respect_the_order_obstruction(orbits3, orbits5,
                                                     records9):
-    recs = (orbit_records(3, orbits=orbits3)
-            + orbit_records(5, orbits=orbits5) + list(records9))
+    recs = (orbit_records(3, orbits3)
+            + orbit_records(5, orbits5) + list(records9))
     for r in recs:
         assert not type_obstruction(r.k, r.l)
 
@@ -378,8 +434,8 @@ def test_record_types_agree_with_map_type(F9, F25, F81, orbits3, orbits5,
                                          records9):
     # the type (k, l) is read from a per-class order table; recompute both
     # orders of every representative pair by exponent descent
-    for F, recs in ((F9, orbit_records(3, orbits=orbits3)),
-                    (F25, orbit_records(5, orbits=orbits5)), (F81, records9)):
+    for F, recs in ((F9, orbit_records(3, orbits3)),
+                    (F25, orbit_records(5, orbits5)), (F81, records9)):
         for r in recs:
             x, y = quad_pair(F, CanonClass(r.form, r.i), r.key)
             assert (r.k, r.l) == (order(x), order(y))

@@ -22,7 +22,7 @@ def test_elements_distinct_and_in_claimed_group(F9):
     els = list(tg.all_group_elements(F9, "G"))
     assert len(set(els)) == len(els)
     assert all(tg.in_G(x) for x in els)
-    assert all(x.i == 0 and F9.is_square(x.det())
+    assert all(x.i == 0 and F9.is_square(tg.mat_det(F9, x.matrix))
                for x in tg.all_group_elements(F9, "G0"))
 
 
