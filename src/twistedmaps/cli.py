@@ -102,6 +102,17 @@ REFLEX_KEYS = ("dia_plain", "dia_twisted", "off_plain", "off_twisted",
                "dia_total", "off_total", "total")
 
 
+def _check_printable(values):
+    """Counts are exact, but the interpreter refuses to print an int with
+    more decimal digits than sys.get_int_max_str_digits(); refuse up front
+    so no output is half written."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    if limit and any(abs(v) >= 10 ** limit for v in values):
+        raise ResourceLimitError(
+            "a count has more than %d decimal digits, the interpreter's "
+            "limit for integer string conversion" % limit)
+
+
 def cmd_count(args):
     p, f = args.p, args.f
     if p == 2 or not is_prime(p):
@@ -116,6 +127,22 @@ def cmd_count(args):
         orb = census.total_orbits(p ** e)
         mu = mobius(f // e)
         lattice.append((e, orb, mu, mu * orb))
+
+    rows = [("p", p), ("f", f), ("q", q)]
+    rows += [("orbits_%s" % k, report.orbit_counts[k]) for k in ORBIT_KEYS]
+    for e, orb, mu, term in lattice:
+        rows += [("lattice_e%d_orbits" % e, orb),
+                 ("lattice_e%d_mobius" % e, mu),
+                 ("lattice_e%d_term" % e, term)]
+    rows += [("generating_orbits", report.generating_orbits),
+             ("maps", report.maps)]
+    if args.reflexible:
+        rows += [("reflexible_%s" % k, report.reflexible_orbit_counts[k])
+                 for k in REFLEX_KEYS]
+        rows += [("reflexible_generating_orbits",
+                  report.reflexible_generating_orbits),
+                 ("reflexible_maps", report.reflexible_maps)]
+    _check_printable(v for _, v in rows)
 
     if args.format == "json":
         out = {
@@ -137,42 +164,28 @@ def cmd_count(args):
         return 0
 
     if args.format == "csv":
-        rows = [("p", p), ("f", f), ("q", q)]
-        rows += [("orbits_%s" % k, report.orbit_counts[k])
-                 for k in ORBIT_KEYS]
-        for e, orb, mu, term in lattice:
-            rows += [("lattice_e%d_orbits" % e, orb),
-                     ("lattice_e%d_mobius" % e, mu),
-                     ("lattice_e%d_term" % e, term)]
-        rows += [("generating_orbits", report.generating_orbits),
-                 ("maps", report.maps)]
-        if args.reflexible:
-            rows += [("reflexible_%s" % k, report.reflexible_orbit_counts[k])
-                     for k in REFLEX_KEYS]
-            rows += [("reflexible_generating_orbits",
-                      report.reflexible_generating_orbits),
-                     ("reflexible_maps", report.reflexible_maps)]
         _emit_csv(["key", "value"], rows)
         return 0
 
-    _write("census p=%d f=%d (q=%d)\n" % (p, f, q))
-    _write("orbit counts over GF(%d^2)\n" % q)
-    for k in ORBIT_KEYS:
-        _write("  %-18s %d\n" % (k.replace("_", " "), report.orbit_counts[k]))
-    _write("divisor lattice (twisted levels e | f, f/e odd)\n")
-    for e, orb, mu, term in lattice:
-        _write("  e=%-3d orbits %-12d mobius %+d  term %d\n"
-               % (e, orb, mu, term))
-    _write("generating orbits  %d\n" % report.generating_orbits)
-    _write("maps               %d\n" % report.maps)
+    lines = ["census p=%d f=%d (q=%d)\n" % (p, f, q),
+             "orbit counts over GF(%d^2)\n" % q]
+    lines += ["  %-18s %d\n" % (k.replace("_", " "), report.orbit_counts[k])
+              for k in ORBIT_KEYS]
+    lines.append("divisor lattice (twisted levels e | f, f/e odd)\n")
+    lines += ["  e=%-3d orbits %-12d mobius %+d  term %d\n"
+              % (e, orb, mu, term) for e, orb, mu, term in lattice]
+    lines.append("generating orbits  %d\n" % report.generating_orbits)
+    lines.append("maps               %d\n" % report.maps)
     if args.reflexible:
-        _write("reflexible orbit counts over GF(%d^2)\n" % q)
-        for k in REFLEX_KEYS:
-            _write("  %-18s %d\n"
-                   % (k.replace("_", " "), report.reflexible_orbit_counts[k]))
-        _write("reflexible generating orbits  %d\n"
-               % report.reflexible_generating_orbits)
-        _write("reflexible maps               %d\n" % report.reflexible_maps)
+        lines.append("reflexible orbit counts over GF(%d^2)\n" % q)
+        lines += ["  %-18s %d\n"
+                  % (k.replace("_", " "), report.reflexible_orbit_counts[k])
+                  for k in REFLEX_KEYS]
+        lines.append("reflexible generating orbits  %d\n"
+                     % report.reflexible_generating_orbits)
+        lines.append("reflexible maps               %d\n"
+                     % report.reflexible_maps)
+    _write("".join(lines))
     return 0
 
 

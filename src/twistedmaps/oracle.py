@@ -29,7 +29,8 @@ from .canonical import (all_classes, canonical_form, canonical_rep,
                         is_exceptional, stabilizer_elements)
 from .gfield import make_field
 from .numth import divisors, odd_part, odd_prime_power
-from .twisted_group import TwElem, conjugate, identity, mat_frob, order
+from .twisted_group import (TwElem, conjugate, identity, mat_frob, mat_inv,
+                            mat_mul, order)
 
 
 def _lam_sigma(F, cls):
@@ -39,26 +40,30 @@ def _lam_sigma(F, cls):
 # ---------------------------------------------------------------------------
 # quads <-> pairs
 
-def quad_pair(F, cls, quad):
-    """The normalized map pair encoded by a quad against one class; raises
-    ValueError unless u is the non-square first*second + lam^sigma."""
+def quad_matrix(F, cls, quad):
+    """Matrix A of the twisted x = [A, 1] a quad encodes against one class;
+    raises ValueError unless u is the non-square first*second + lam^sigma."""
     first, second, u = quad
     ls = _lam_sigma(F, cls)
     if F.add(F.mul(first, second), ls) != u or F.is_square(u):
         raise ValueError("quad %r is not admissible against %r" % (quad, cls))
-    y = canonical_rep(cls, F)
     if cls.form == "dia":
-        A = (F.neg(1), first, second, ls)
-    else:
-        A = (first, ls, F.neg(1), second)
-    return TwElem(F, A, 1), y
+        return (F.neg(1), first, second, ls)
+    return (first, ls, F.neg(1), second)
 
 
-def pair_quad(F, cls, x):
-    """Quad of a twisted x whose matrix is projectively in the shape paired
-    with the class representative; shape violations raise."""
+def quad_pair(F, cls, quad):
+    """The normalized map pair encoded by a quad against one class."""
+    return TwElem(F, quad_matrix(F, cls, quad), 1), canonical_rep(cls, F)
+
+
+def matrix_quad(F, cls, M):
+    """Quad of a matrix M that is projectively in the shape paired with the
+    class representative; shape violations raise.  M scales to a matrix of
+    determinant -u (dia) or u (off), so asserting u a non-square asserts
+    that M is nonsingular with the determinant class of a twisted x."""
     ls = _lam_sigma(F, cls)
-    m11, m12, m21, m22 = x.matrix
+    m11, m12, m21, m22 = M
     if cls.form == "dia":
         assert m11 != 0, "dia-shaped partner has nonzero corner"
         s = F.neg(F.inv(m11))
@@ -69,7 +74,14 @@ def pair_quad(F, cls, x):
         s = F.neg(F.inv(m21))
         first, second = F.mul(s, m11), F.mul(s, m22)
         assert F.mul(s, m12) == ls, "partner must keep the involution shape"
-    return (first, second, F.add(F.mul(first, second), ls))
+    u = F.add(F.mul(first, second), ls)
+    assert u != 0 and not F.is_square(u), "partner must be twisted in G"
+    return (first, second, u)
+
+
+def pair_quad(F, cls, x):
+    """Quad of a twisted x paired with the class representative."""
+    return matrix_quad(F, cls, x.matrix)
 
 
 def pair_key(F, first, second):
@@ -131,20 +143,36 @@ def act_quad(F, cls, g, quad):
     return pair_quad(F, cls, conjugate(x, g))
 
 
+def _stabilizer_moves(F, cls):
+    """Each stabilizer element g = [D, j] as a raw-matrix move (L, R, j):
+    conjugate([A, 1], g) = g^-1 [A, 1] g = [L A^(sigma^j) R, 1] with
+    L = (D^(sigma^j))^-1 and R = D^(sigma^(j+1))."""
+    f = F.m // 2
+    moves = []
+    for g in stabilizer_elements(cls, F):
+        D = (g.matrix, mat_frob(F, g.matrix, f))  # D^(sigma^0), D^(sigma^1)
+        moves.append((mat_inv(F, D[g.i]), D[1 - g.i], g.i))
+    return moves
+
+
 def orbit_partition(F, cls):
     """Partition of the class block into sorted stabilizer orbits, walking
-    each once: the pair of its first quad is built once and conjugated by
-    every stabilizer element.  Semiregularity (orbit length == stabilizer
-    size) is asserted for every orbit."""
-    stab = stabilizer_elements(cls, F)
+    each once: the matrix A of its first quad and A^sigma are built once,
+    and every stabilizer move is applied to them as plain matrix products
+    (act_quad is the one-step TwElem reference).  Semiregularity (orbit
+    length == stabilizer size) is asserted for every orbit."""
+    moves = _stabilizer_moves(F, cls)
+    f = F.m // 2
     seen = set()
     orbits = []
     for quad in class_quads(F, cls):
         if quad in seen:
             continue
-        x, _ = quad_pair(F, cls, quad)
-        orbit = {pair_quad(F, cls, conjugate(x, g)) for g in stab}
-        assert len(orbit) == len(stab), "stabilizer action must be semiregular"
+        A = quad_matrix(F, cls, quad)
+        twists = (A, mat_frob(F, A, f))
+        orbit = {matrix_quad(F, cls, mat_mul(F, L, mat_mul(F, twists[j], R)))
+                 for L, R, j in moves}
+        assert len(orbit) == len(moves), "stabilizer action must be semiregular"
         assert quad in orbit
         seen.update(orbit)
         orbits.append(sorted(orbit))

@@ -125,8 +125,9 @@ def test_criterion_05_reference_table_small_q(orbits3, orbits5, orbits7,
     _criterion("5", "self-duality table rows q in {3,5,7,9}", t0, bad)
 
 
-@pytest.mark.extended
-@pytest.mark.parametrize("q", [11, 13, 17, 19])
+@pytest.mark.parametrize("q", [11, 13,
+                               pytest.param(17, marks=pytest.mark.extended),
+                               pytest.param(19, marks=pytest.mark.extended)])
 def test_criterion_05_reference_table_extended(q):
     t0 = time.time()
     bad = []

@@ -81,6 +81,34 @@ def test_count_csv_has_header_and_lf_endings(capsys):
     assert "maps,395" in lines
 
 
+COUNT_Q9 = """\
+census p=3 f=2 (q=9)
+orbit counts over GF(9^2)
+  dia generic        390
+  dia exceptional    0
+  off generic        328
+  off exceptional    72
+  total              790
+divisor lattice (twisted levels e | f, f/e odd)
+  e=2   orbits 790          mobius +1  term 790
+generating orbits  790
+maps               395
+"""
+
+
+def test_count_too_long_to_print_is_a_resource_error(capsys):
+    # 3^2500 orbit counts exceed the interpreter's default conversion limit
+    # of 4300 digits; nothing may be written before the refusal
+    limit = "%d decimal digits" % sys.get_int_max_str_digits()
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, ["--format", fmt, "count",
+                                      "--p", "3", "--f", "2500"])
+        assert (code, out) == (3, "")
+        assert limit in err
+    code, out, _ = run(capsys, ["count", "--p", "3", "--f", "2"])
+    assert (code, out) == (0, COUNT_Q9)
+
+
 def test_count_rejects_bad_parameters(capsys):
     for argv in (["count", "--p", "9", "--f", "1"],
                  ["count", "--p", "2", "--f", "3"],

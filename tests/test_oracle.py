@@ -22,9 +22,9 @@ from twistedmaps.gfield import make_field
 from twistedmaps.oracle import (SELFDUAL_TABLE, act_quad, brute_reflexible,
                                 class_quads, closure_order, enumerate_orbits,
                                 fused_records, galois_fuse, generated_level,
-                                is_reflexible, orbit_count_summary,
-                                orbit_records, pair_quad, quad_pair,
-                                self_duality, selfdual_cells)
+                                is_reflexible, matrix_quad,
+                                orbit_count_summary, orbit_records, pair_quad,
+                                quad_pair, self_duality, selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
                                        mat_frob, order)
 
@@ -82,6 +82,18 @@ def test_quad_pair_rejects_inadmissible_quads(F25):
     square = F25.mul(3, 3)
     with pytest.raises(ValueError):
         quad_pair(F25, cls, (1, F25.sub(square, ls), square))
+
+
+def test_matrix_quad_asserts_a_nonsingular_twisted_partner(F25):
+    # a product in the dia shape (-1, 1, u - ls, ls) has determinant -u
+    cls = CanonClass("dia", 1)
+    first, second, u = next(class_quads(F25, cls))
+    ls = F25.sub(u, F25.mul(first, second))
+    assert matrix_quad(F25, cls, (F25.neg(1), 1, F25.sub(u, ls), ls)) == (
+        1, F25.sub(u, ls), u)
+    for bad in (0, F25.mul(3, 3)):  # singular, then a square determinant
+        with pytest.raises(AssertionError):
+            matrix_quad(F25, cls, (F25.neg(1), 1, F25.sub(bad, ls), ls))
 
 
 def test_quad_pair_rejects_inadmissible_quads_under_optimize():
@@ -153,21 +165,36 @@ def test_orbits_cover_every_quad_once(F25, orbits5):
         assert len(set(seen)) == len(seen)
 
 
-def test_act_quad_keeps_each_orbit(F25, orbits5):
-    # act_quad is the one-step reference for the partition's orbit walk
-    for cls, cls_orbits in orbits5.items():
-        stab = stabilizer_elements(cls, F25)
-        for orbit in cls_orbits:
-            members = set(orbit)
-            assert all(act_quad(F25, cls, g, orbit[0]) in members
-                       for g in stab)
+def test_act_quad_keeps_each_orbit(F9, F25, F49, F81, orbits3, orbits5,
+                                  orbits7, orbits9):
+    # act_quad is the TwElem one-step reference for the partition's
+    # raw-matrix walk: its images of each first quad are the whole orbit
+    for F, orbits in ((F9, orbits3), (F25, orbits5), (F49, orbits7),
+                      (F81, orbits9)):
+        for cls, cls_orbits in orbits.items():
+            stab = stabilizer_elements(cls, F)
+            for orbit in cls_orbits:
+                assert set(orbit) == {act_quad(F, cls, g, orbit[0])
+                                      for g in stab}
 
 
 def test_partition_builds_one_pair_per_orbit(monkeypatch):
-    calls = _count_calls(monkeypatch, oracle, "quad_pair")
+    calls = _count_calls(monkeypatch, oracle, "quad_matrix")
     orbits = enumerate_orbits(5)
     assert sum(len(o) for o in orbits.values()) == 69
     assert calls[0] == 69
+
+
+def test_partition_walks_raw_matrices(monkeypatch):
+    conjugations = _count_calls(monkeypatch, oracle, "conjugate")
+    inverses = _count_calls(monkeypatch, TwElem, "inv")
+    starts = _count_calls(monkeypatch, oracle, "quad_matrix")
+    orbits = enumerate_orbits(9)
+    assert sum(len(o) for o in orbits.values()) == 790
+    assert sum(len(orbit) for o in orbits.values() for orbit in o) == 15680
+    assert conjugations[0] == 0  # one per quad (15,680) before the walk
+    assert inverses[0] <= sum(stabilizer_size(cls, 9) for cls in orbits) == 112
+    assert starts[0] == 790
 
 
 def test_fusion_looks_up_images_once_per_bundle(orbits9, monkeypatch):
