@@ -8,8 +8,8 @@ can be played against each other.
 from .canonical import (CanonClass, all_classes, canonical_form,
                         canonical_order, canonical_rep, class_size,
                         is_exceptional, stabilizer_elements, stabilizer_size)
-from .census import (CensusReport, build_report, count_generating_orbits,
-                     count_maps, count_reflexible_maps, orbit_counts,
+from .census import (count_generating_orbits, count_maps,
+                     count_reflexible_maps, orbit_counts,
                      reflexible_orbit_counts, total_orbits,
                      total_reflexible_orbits, twisted_divisors,
                      type_obstruction)
@@ -19,14 +19,13 @@ from .oracle import (OrbitRec, enumerate_orbits, fused_records, galois_fuse,
 from .twisted_group import TwElem, conjugate, group_order, identity, order
 
 __all__ = [
-    "CanonClass", "CensusReport", "Field", "OrbitRec", "ResourceLimitError",
-    "TwElem", "all_classes", "build_report", "canonical_form",
-    "canonical_order", "canonical_rep", "class_size", "conjugate",
-    "count_generating_orbits", "count_maps", "count_reflexible_maps",
-    "enumerate_orbits", "fused_records", "galois_fuse", "generated_level",
-    "group_order", "identity", "is_exceptional", "make_field",
-    "orbit_counts", "orbit_records", "order", "reflexible_orbit_counts",
-    "selfdual_cells",
-    "stabilizer_elements", "stabilizer_size", "total_orbits",
-    "total_reflexible_orbits", "twisted_divisors", "type_obstruction",
+    "CanonClass", "Field", "OrbitRec", "ResourceLimitError", "TwElem",
+    "all_classes", "canonical_form", "canonical_order", "canonical_rep",
+    "class_size", "conjugate", "count_generating_orbits", "count_maps",
+    "count_reflexible_maps", "enumerate_orbits", "fused_records",
+    "galois_fuse", "generated_level", "group_order", "identity",
+    "is_exceptional", "make_field", "orbit_counts", "orbit_records", "order",
+    "reflexible_orbit_counts", "selfdual_cells", "stabilizer_elements",
+    "stabilizer_size", "total_orbits", "total_reflexible_orbits",
+    "twisted_divisors", "type_obstruction",
 ]

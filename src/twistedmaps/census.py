@@ -15,8 +15,6 @@ counting proceeds in two stages:
 Reflexible maps admit the same treatment with total (q^2-1)(3q-2)/8.
 """
 
-from dataclasses import dataclass
-
 from .numth import divisors, is_prime, mobius, odd_part, odd_prime_power
 
 
@@ -132,31 +130,3 @@ def type_obstruction(k, l):
     M(q^2): both entries divisible by 8 but not congruent mod 16."""
     return k % 8 == 0 and l % 8 == 0 and (k - l) % 16 != 0
 
-
-# ---------------------------------------------------------------------------
-# census report
-
-@dataclass
-class CensusReport:
-    p: int
-    f: int
-    q: int
-    orbit_counts: dict
-    reflexible_orbit_counts: dict
-    generating_orbits: int
-    maps: int
-    reflexible_generating_orbits: int
-    reflexible_maps: int
-
-
-def build_report(p, f):
-    q = p ** f
-    return CensusReport(
-        p=p, f=f, q=q,
-        orbit_counts=orbit_counts(q),
-        reflexible_orbit_counts=reflexible_orbit_counts(q),
-        generating_orbits=count_generating_orbits(p, f),
-        maps=count_maps(p, f),
-        reflexible_generating_orbits=count_reflexible_generating_orbits(p, f),
-        reflexible_maps=count_reflexible_maps(p, f),
-    )

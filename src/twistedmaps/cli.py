@@ -4,11 +4,13 @@ self-duality tables and orbit listings.
 Exit codes: 0 success / all comparisons pass, 1 at least one mismatch,
 2 usage error (also any run under python -O, which would strip the
 oracle's invariant asserts), 3 resource guard tripped, 4 an internal
-invariant failed.  Output is deterministic for a fixed invocation.
+invariant failed or an unexpected exception escaped.  Output is
+deterministic for a fixed invocation.
 """
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -19,17 +21,17 @@ from .canonical import all_classes, is_exceptional
 from .gfield import ResourceLimitError, make_field
 from .numth import is_prime, mobius, odd_prime_power
 
-# q at or below which full enumeration commands run by default;
+# q at or below which full enumeration commands run;
 # verify --level bruteforce is stricter (see BRUTE_BOUND) because it adds
 # orbit records, Galois fusion and closure samples on top of the partition.
 ENUM_BOUND = 13
 BRUTE_BOUND = 9
 FORCED_BOUND = 27      # partition-only ceiling under verify --force
-MAX_Q = 10 ** 6        # declared parameter range for verify
+MAX_Q = 10 ** 6        # range of --q and count --p, checked before factoring
 
 
 # ---------------------------------------------------------------------------
-# input validation
+# input validation, run before anything is computed
 
 def _verify_q(q):
     if q > MAX_Q:
@@ -38,6 +40,11 @@ def _verify_q(q):
     if q < 3:
         raise ValueError("q must be at least 3, got %d" % q)
     return odd_prime_power(q)
+
+
+def _cap_enumeration(q, what):
+    if q > ENUM_BOUND:
+        raise ResourceLimitError(what + " is capped at q <= %d" % ENUM_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -84,12 +91,9 @@ def _render_checks(args, label, checks):
             _write("%s %s  expected %s  actual %s\n"
                    % (mark, n.ljust(width), e, a))
         _write("%s: %d/%d checks passed\n"
-               % (label_text(label), len(checks) - len(failed), len(checks)))
+               % (" ".join("%s=%s" % kv for kv in label.items()),
+                  len(checks) - len(failed), len(checks)))
     return 1 if failed else 0
-
-
-def label_text(label):
-    return " ".join("%s=%s" % (k, v) for k, v in label.items())
 
 
 # ---------------------------------------------------------------------------
@@ -115,51 +119,59 @@ def _check_printable(values):
 
 def cmd_count(args):
     p, f = args.p, args.f
+    if p > MAX_Q:
+        raise ValueError(
+            "p=%d is outside the supported range (3 <= p <= %d)" % (p, MAX_Q))
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime, got %d" % p)
     if f < 1:
         raise ValueError("f must be a positive integer, got %d" % f)
+    # q = p^f is a printed row itself: refuse an overlong q before any
+    # census call, building no power of p beyond the first past the limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    _check_printable([p ** min(f, int(limit / math.log10(p)) + 2)])
 
-    report = census.build_report(p, f)
     q = p ** f
+    counts = census.orbit_counts(q)
     lattice = []
     for e in census.twisted_divisors(f):
         orb = census.total_orbits(p ** e)
         mu = mobius(f // e)
         lattice.append((e, orb, mu, mu * orb))
+    generating = census.count_generating_orbits(p, f)
+    maps = census.count_maps(p, f)
 
     rows = [("p", p), ("f", f), ("q", q)]
-    rows += [("orbits_%s" % k, report.orbit_counts[k]) for k in ORBIT_KEYS]
+    rows += [("orbits_%s" % k, counts[k]) for k in ORBIT_KEYS]
     for e, orb, mu, term in lattice:
         rows += [("lattice_e%d_orbits" % e, orb),
                  ("lattice_e%d_mobius" % e, mu),
                  ("lattice_e%d_term" % e, term)]
-    rows += [("generating_orbits", report.generating_orbits),
-             ("maps", report.maps)]
+    rows += [("generating_orbits", generating), ("maps", maps)]
     if args.reflexible:
-        rows += [("reflexible_%s" % k, report.reflexible_orbit_counts[k])
-                 for k in REFLEX_KEYS]
-        rows += [("reflexible_generating_orbits",
-                  report.reflexible_generating_orbits),
-                 ("reflexible_maps", report.reflexible_maps)]
+        rcounts = census.reflexible_orbit_counts(q)
+        rgenerating = census.count_reflexible_generating_orbits(p, f)
+        rmaps = census.count_reflexible_maps(p, f)
+        rows += [("reflexible_%s" % k, rcounts[k]) for k in REFLEX_KEYS]
+        rows += [("reflexible_generating_orbits", rgenerating),
+                 ("reflexible_maps", rmaps)]
     _check_printable(v for _, v in rows)
 
     if args.format == "json":
         out = {
             "p": str(p), "f": str(f), "q": str(q),
-            "orbit_counts": {k: str(v) for k, v in report.orbit_counts.items()},
+            "orbit_counts": {k: str(v) for k, v in counts.items()},
             "divisor_lattice": [
                 {"level": str(e), "orbits": str(orb), "mobius": str(mu),
                  "term": str(term)} for e, orb, mu, term in lattice],
-            "generating_orbits": str(report.generating_orbits),
-            "maps": str(report.maps),
+            "generating_orbits": str(generating),
+            "maps": str(maps),
         }
         if args.reflexible:
             out["reflexible_orbit_counts"] = {
-                k: str(v) for k, v in report.reflexible_orbit_counts.items()}
-            out["reflexible_generating_orbits"] = str(
-                report.reflexible_generating_orbits)
-            out["reflexible_maps"] = str(report.reflexible_maps)
+                k: str(v) for k, v in rcounts.items()}
+            out["reflexible_generating_orbits"] = str(rgenerating)
+            out["reflexible_maps"] = str(rmaps)
         _emit_json(out)
         return 0
 
@@ -169,22 +181,19 @@ def cmd_count(args):
 
     lines = ["census p=%d f=%d (q=%d)\n" % (p, f, q),
              "orbit counts over GF(%d^2)\n" % q]
-    lines += ["  %-18s %d\n" % (k.replace("_", " "), report.orbit_counts[k])
+    lines += ["  %-18s %d\n" % (k.replace("_", " "), counts[k])
               for k in ORBIT_KEYS]
     lines.append("divisor lattice (twisted levels e | f, f/e odd)\n")
     lines += ["  e=%-3d orbits %-12d mobius %+d  term %d\n"
               % (e, orb, mu, term) for e, orb, mu, term in lattice]
-    lines.append("generating orbits  %d\n" % report.generating_orbits)
-    lines.append("maps               %d\n" % report.maps)
+    lines.append("generating orbits  %d\n" % generating)
+    lines.append("maps               %d\n" % maps)
     if args.reflexible:
         lines.append("reflexible orbit counts over GF(%d^2)\n" % q)
-        lines += ["  %-18s %d\n"
-                  % (k.replace("_", " "), report.reflexible_orbit_counts[k])
+        lines += ["  %-18s %d\n" % (k.replace("_", " "), rcounts[k])
                   for k in REFLEX_KEYS]
-        lines.append("reflexible generating orbits  %d\n"
-                     % report.reflexible_generating_orbits)
-        lines.append("reflexible maps               %d\n"
-                     % report.reflexible_maps)
+        lines.append("reflexible generating orbits  %d\n" % rgenerating)
+        lines.append("reflexible maps               %d\n" % rmaps)
     _write("".join(lines))
     return 0
 
@@ -194,11 +203,9 @@ def cmd_count(args):
 
 def _formula_checks(q, p, f):
     counts = census.orbit_counts(q)
-    parts = [counts[k] for k in ("dia_generic", "dia_exceptional",
-                                 "off_generic", "off_exceptional")]
+    parts = [counts[k] for k in ORBIT_KEYS[:4]]      # the four class kinds
     rcounts = census.reflexible_orbit_counts(q)
-    rparts = [rcounts[k] for k in ("dia_plain", "dia_twisted",
-                                   "off_plain", "off_twisted")]
+    rparts = [rcounts[k] for k in REFLEX_KEYS[:4]]
     roundtrip = sum(census.count_generating_orbits(p, e)
                     for e in census.twisted_divisors(f))
     exc_forms = sorted({cls.form for cls in all_classes(q)
@@ -278,29 +285,21 @@ def cmd_verify(args):
     if args.level == "formulas":
         return _render_checks(args, label, _formula_checks(q, p, f))
 
-    if args.level == "orbits":
-        if q > ENUM_BOUND:
-            raise ResourceLimitError(
-                "orbit enumeration is capped at q <= %d" % ENUM_BOUND)
-        return _render_checks(args, label,
-                              _count_checks(q, oracle.enumerate_orbits(q)))
-
     if args.level == "selfdual":
         if q not in oracle.SELFDUAL_TABLE:
             raise ValueError("no embedded reference row for q=%d" % q)
-        if q > ENUM_BOUND:
-            raise ResourceLimitError(
-                "self-duality enumeration is capped at q <= %d" % ENUM_BOUND)
+        _cap_enumeration(q, "self-duality enumeration")
         cells = _oracle_compute(q, p, f)["selfdual"]
         return _render_checks(args, label, _selfdual_checks(q, cells))
 
-    # bruteforce
-    if q > BRUTE_BOUND:
-        if not args.force:
+    if args.level == "orbits" or q > BRUTE_BOUND:  # partition only
+        if args.level == "orbits":
+            _cap_enumeration(q, "orbit enumeration")
+        elif not args.force:
             raise ResourceLimitError(
                 "bruteforce is capped at q <= %d; pass --force for a "
                 "partition-only run up to q <= %d" % (BRUTE_BOUND, FORCED_BOUND))
-        if q > FORCED_BOUND:
+        elif q > FORCED_BOUND:
             raise ResourceLimitError(
                 "forced partition-only runs are capped at q <= %d"
                 % FORCED_BOUND)
@@ -336,10 +335,8 @@ def cmd_verify(args):
 
 def cmd_selfdual(args):
     q = args.q
-    p, f = odd_prime_power(q)
-    if q > ENUM_BOUND:
-        raise ResourceLimitError(
-            "self-duality enumeration is capped at q <= %d" % ENUM_BOUND)
+    p, f = _verify_q(q)
+    _cap_enumeration(q, "self-duality enumeration")
     cells = _oracle_compute(q, p, f)["selfdual"]
 
     surplus = sum(cells[form][2] - cells[form][3] for form in ("dia", "off"))
@@ -381,18 +378,16 @@ def _parse_type(text):
 
 def cmd_orbits(args):
     q = args.q
-    p, f = odd_prime_power(q)
-    if q > args.bound:
-        raise ResourceLimitError(
-            "orbit listing is capped at q <= %d (see --bound)" % args.bound)
+    p, f = _verify_q(q)
+    _cap_enumeration(q, "orbit listing")
+    kl = _parse_type(args.type) if args.type else None
     orbits = oracle.enumerate_orbits(q)
     records = oracle.orbit_records(q, orbits)
     if args.fuse and f > 1:
         records = oracle.fused_records(records,
                                        oracle.galois_fuse(orbits, p, f))
-    if args.type:
-        k, l = _parse_type(args.type)
-        records = [r for r in records if r.k == k and r.l == l]
+    if kl:
+        records = [r for r in records if (r.k, r.l) == kl]
 
     if args.format == "json":
         _emit_json({"q": str(q), "fused": bool(args.fuse), "rows": [
@@ -460,8 +455,6 @@ def _build_parser():
                    help="only orbits of vertex/face orders (K, L)")
     o.add_argument("--fuse", action="store_true",
                    help="aggregate orbits into Galois bundles")
-    o.add_argument("--bound", type=int, default=ENUM_BOUND,
-                   help="enumeration ceiling (default %d)" % ENUM_BOUND)
     return parser
 
 
@@ -490,6 +483,10 @@ def main(argv=None):
         print("error: internal invariant failed: %s (%s:%d)"
               % (exc or "assert", os.path.basename(where.filename),
                  where.lineno), file=sys.stderr)
+        return 4
+    except Exception as exc:
+        traceback.print_exc()
+        print("error: internal failure: %r" % exc, file=sys.stderr)
         return 4
 
 

@@ -62,7 +62,10 @@ def matrix_quad(F, cls, M):
     class representative; shape violations raise.  M scales to a matrix of
     determinant -u (dia) or u (off), so asserting u a non-square asserts
     that M is nonsingular with the determinant class of a twisted x."""
-    ls = _lam_sigma(F, cls)
+    return _as_quad(F, cls, _lam_sigma(F, cls), M)
+
+
+def _as_quad(F, cls, ls, M):
     m11, m12, m21, m22 = M
     if cls.form == "dia":
         assert m11 != 0, "dia-shaped partner has nonzero corner"
@@ -162,6 +165,7 @@ def orbit_partition(F, cls):
     (act_quad is the one-step TwElem reference).  Semiregularity (orbit
     length == stabilizer size) is asserted for every orbit."""
     moves = _stabilizer_moves(F, cls)
+    ls = _lam_sigma(F, cls)
     f = F.m // 2
     seen = set()
     orbits = []
@@ -170,7 +174,7 @@ def orbit_partition(F, cls):
             continue
         A = quad_matrix(F, cls, quad)
         twists = (A, mat_frob(F, A, f))
-        orbit = {matrix_quad(F, cls, mat_mul(F, L, mat_mul(F, twists[j], R)))
+        orbit = {_as_quad(F, cls, ls, mat_mul(F, L, mat_mul(F, twists[j], R)))
                  for L, R, j in moves}
         assert len(orbit) == len(moves), "stabilizer action must be semiregular"
         assert quad in orbit

@@ -1,5 +1,6 @@
 """Front-end behavior: commands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 from twistedmaps import census, oracle
 from twistedmaps.canonical import all_classes
-from twistedmaps.cli import main
+from twistedmaps.cli import _build_parser, main
 from twistedmaps.numth import divisors, mobius
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -274,8 +275,83 @@ def test_orbits_fused_q9(capsys):
 def test_orbits_bound_is_resource_guard(capsys):
     code, _, err = run(capsys, ["orbits", "--q", "17"])
     assert code == 3
-    code, _, err = run(capsys, ["orbits", "--q", "13", "--bound", "11"])
-    assert code == 3
+
+
+def test_output_matches_golden_file(capsys):
+    # stdout bytes and exit codes of 15 invocations in each format, error
+    # cases included; the file is data, never regenerated from this code
+    cases = json.loads((ROOT / "tests" / "data" / "cli_golden.json")
+                       .read_text(encoding="utf-8"))
+    assert len(cases) == 45
+    for case in cases:
+        code, out, _ = run(capsys, case["argv"])
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_every_option_is_listed():
+    # a new option has to be added here, so a review sees it
+    def options(parser):
+        return [s for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+                for s in a.option_strings]
+
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert options(parser) == ["--format", "--seed"]
+    assert {name: options(p) for name, p in sub.choices.items()} == {
+        "count": ["--p", "--f", "--reflexible"],
+        "verify": ["--q", "--level", "--force"],
+        "selfdual": ["--q"],
+        "orbits": ["--q", "--type", "--fuse"],
+    }
+
+
+BIG = "1000000000000000009"  # a prime far past the range trial division suits
+
+
+REFUSED = [
+    (["count", "--p", BIG, "--f", "1"], 2),
+    (["count", "--p", "1000003", "--f", "1"], 2),
+    (["count", "--p", "3", "--f", "3000000"], 3),
+    (["count", "--p", "3", "--f", "1000000000000"], 3),
+    (["count", "--p", "3", "--f", "2500"], 3),
+    (["selfdual", "--q", BIG], 2),
+    (["orbits", "--q", BIG], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", REFUSED,
+                         ids=[" ".join(argv) for argv, _ in REFUSED])
+def test_out_of_range_inputs_are_refused_at_once(argv, code):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "twistedmaps.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("error: ")
+
+
+def test_largest_prime_in_range_still_counts():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistedmaps.cli", "count", "--p", "999983",
+         "--f", "1"], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("census p=999983 f=1 (q=999983)\n")
+    assert proc.stdout.endswith(
+        "maps               %d\n" % census.count_maps(999983, 1))
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(records, bundles):
+        raise KeyError("bundle")
+
+    monkeypatch.setattr(oracle, "fused_records", broken)
+    code, out, err = run(capsys, ["verify", "--q", "9", "--level",
+                                  "bruteforce"])
+    assert (code, out) == (4, "")
+    assert "Traceback" in err
+    assert err.endswith("error: internal failure: KeyError('bundle')\n")
 
 
 def test_verify_json_uses_string_integers(capsys):

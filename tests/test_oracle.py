@@ -96,6 +96,19 @@ def test_matrix_quad_asserts_a_nonsingular_twisted_partner(F25):
             matrix_quad(F25, cls, (F25.neg(1), 1, F25.sub(bad, ls), ls))
 
 
+def test_partition_computes_lam_sigma_per_class_not_per_quad(monkeypatch):
+    calls = []
+
+    def counted(F, cls, _fn=oracle._lam_sigma):
+        calls.append(cls)
+        return _fn(F, cls)
+
+    monkeypatch.setattr(oracle, "_lam_sigma", counted)
+    orbits = oracle.enumerate_orbits(9)
+    assert sum(len(o) for o in orbits.values()) == 790
+    assert len(calls) < 1000  # 16,475 when it ran once per quad
+
+
 def test_quad_pair_rejects_inadmissible_quads_under_optimize():
     # the check must not be an assert, which -O strips
     code = textwrap.dedent("""
