@@ -2,9 +2,10 @@
 self-duality tables and orbit listings.
 
 Exit codes: 0 success / all comparisons pass, 1 at least one mismatch,
-2 usage error (also any run under python -O, which would strip the
-oracle's invariant asserts), 3 resource guard tripped, 4 an internal
-invariant failed or an unexpected exception escaped.  Output is
+2 usage error, raised only by the input checks below (also any run under
+python -O, which would strip the oracle's invariant asserts), 3 resource
+guard tripped, 4 an internal invariant failed or an unexpected exception
+escaped, a ValueError from inside a computation included.  Output is
 deterministic for a fixed invocation.
 """
 
@@ -19,27 +20,30 @@ import traceback
 from . import census, oracle
 from .canonical import all_classes, is_exceptional
 from .gfield import ResourceLimitError, make_field
-from .numth import is_prime, mobius, odd_prime_power
+from .numth import is_prime, mobius, odd_part, odd_prime_power
 
-# q at or below which full enumeration commands run;
-# verify --level bruteforce is stricter (see BRUTE_BOUND) because it adds
-# orbit records, Galois fusion and closure samples on top of the partition.
-ENUM_BOUND = 13
-BRUTE_BOUND = 9
-FORCED_BOUND = 27      # partition-only ceiling under verify --force
+ENUM_BOUND = 27        # q at or below which every enumerating command runs
 MAX_Q = 10 ** 6        # range of --q and count --p, checked before factoring
 
 
 # ---------------------------------------------------------------------------
 # input validation, run before anything is computed
 
+class UsageError(Exception):
+    """A bad command line (exit 2); a ValueError raised inside a
+    computation is a defect (exit 4)."""
+
+
 def _verify_q(q):
     if q > MAX_Q:
-        raise ValueError(
+        raise UsageError(
             "q=%d is outside the supported range (3 <= q <= %d)" % (q, MAX_Q))
     if q < 3:
-        raise ValueError("q must be at least 3, got %d" % q)
-    return odd_prime_power(q)
+        raise UsageError("q must be at least 3, got %d" % q)
+    try:
+        return odd_prime_power(q)
+    except ValueError as exc:
+        raise UsageError(exc) from None
 
 
 def _cap_enumeration(q, what):
@@ -120,12 +124,12 @@ def _check_printable(values):
 def cmd_count(args):
     p, f = args.p, args.f
     if p > MAX_Q:
-        raise ValueError(
+        raise UsageError(
             "p=%d is outside the supported range (3 <= p <= %d)" % (p, MAX_Q))
     if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime, got %d" % p)
+        raise UsageError("p must be an odd prime, got %d" % p)
     if f < 1:
-        raise ValueError("f must be a positive integer, got %d" % f)
+        raise UsageError("f must be a positive integer, got %d" % f)
     # q = p^f is a printed row itself: refuse an overlong q before any
     # census call, building no power of p beyond the first past the limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
@@ -230,23 +234,31 @@ def _count_checks(q, orbits):
 
 def _oracle_compute(q, p, f):
     """One oracle pass: partition once, build each orbit record once, fuse
-    once when f > 1, and aggregate everything from those results."""
+    once when f > 1, and aggregate everything from those results.  Like the
+    census, generating orbits and maps count level-f orbits only."""
     orbits = oracle.enumerate_orbits(q)
     records = oracle.orbit_records(q, orbits)
+    generating = [r for r in records if r.level == f]
     have = {
         "orbits": orbits,
         "reflexible": {form: sum(1 for r in records
                                  if r.form == form and r.reflexible)
                        for form in ("dia", "off")},
-        "generating": sum(1 for r in records if r.level == f),
+        "generating": len(generating),
+        "reflexible_generating": sum(1 for r in generating if r.reflexible),
     }
     if f > 1:
+        # a level-e orbit has e Galois images, so its bundle has e members
+        level = {(r.form, r.i, r.key): r.level for r in records}
         bundles = oracle.galois_fuse(orbits, p, f)
-        have["bundles"] = len(bundles)
-        have["size_violations"] = sum(1 for b in bundles if len(b) != f)
+        have["size_violations"] = sum(
+            1 for b in bundles
+            if len(b) != level[(b[0][0].form, b[0][0].i, b[0][1])])
         records = oracle.fused_records(records, bundles)
-    have["selfdual"] = oracle.selfdual_cells(
-        [r for r in records if r.level == f])
+    maps = [r for r in records if r.level == f]
+    have["maps"] = len(maps)
+    have["reflexible_maps"] = sum(1 for r in maps if r.reflexible)
+    have["selfdual"] = oracle.selfdual_cells(maps)
     return have
 
 
@@ -285,24 +297,14 @@ def cmd_verify(args):
     if args.level == "formulas":
         return _render_checks(args, label, _formula_checks(q, p, f))
 
-    if args.level == "selfdual":
+    if args.level == "selfdual":   # every reference row is within the cap
         if q not in oracle.SELFDUAL_TABLE:
-            raise ValueError("no embedded reference row for q=%d" % q)
-        _cap_enumeration(q, "self-duality enumeration")
+            raise UsageError("no embedded reference row for q=%d" % q)
         cells = _oracle_compute(q, p, f)["selfdual"]
         return _render_checks(args, label, _selfdual_checks(q, cells))
 
-    if args.level == "orbits" or q > BRUTE_BOUND:  # partition only
-        if args.level == "orbits":
-            _cap_enumeration(q, "orbit enumeration")
-        elif not args.force:
-            raise ResourceLimitError(
-                "bruteforce is capped at q <= %d; pass --force for a "
-                "partition-only run up to q <= %d" % (BRUTE_BOUND, FORCED_BOUND))
-        elif q > FORCED_BOUND:
-            raise ResourceLimitError(
-                "forced partition-only runs are capped at q <= %d"
-                % FORCED_BOUND)
+    _cap_enumeration(q, "orbit enumeration")
+    if args.level == "orbits" or args.force:   # partition only
         return _render_checks(args, label,
                               _count_checks(q, oracle.enumerate_orbits(q)))
 
@@ -318,8 +320,14 @@ def cmd_verify(args):
                    census.count_generating_orbits(p, f), have["generating"]))
     if f > 1:
         checks.append(("fusion-bundles", census.count_maps(p, f),
-                       have["bundles"]))
+                       have["maps"]))
         checks.append(("fusion-size-violations", 0, have["size_violations"]))
+    if odd_part(f)[1] > 1:   # a proper level exists; else these repeat above
+        checks.append(("reflexible-generating-orbits",
+                       census.count_reflexible_generating_orbits(p, f),
+                       have["reflexible_generating"]))
+        checks.append(("reflexible-maps", census.count_reflexible_maps(p, f),
+                       have["reflexible_maps"]))
 
     if q in oracle.SELFDUAL_TABLE:
         checks.extend(_selfdual_checks(q, have["selfdual"]))
@@ -371,8 +379,8 @@ def _parse_type(text):
     try:
         k, l = (int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError("--type wants two comma-separated integers, "
-                         "got %r" % text)
+        raise UsageError("--type wants two comma-separated integers, "
+                         "got %r" % text) from None
     return k, l
 
 
@@ -443,8 +451,7 @@ def _build_parser():
     v.add_argument("--level", required=True,
                    choices=("formulas", "orbits", "bruteforce", "selfdual"))
     v.add_argument("--force", action="store_true",
-                   help="allow partition-only bruteforce beyond q=%d"
-                        % BRUTE_BOUND)
+                   help="bruteforce compares the orbit partition only")
 
     s = sub.add_parser("selfdual", help="self-duality table for one q")
     s.add_argument("--q", type=int, required=True, help="odd prime power")
@@ -472,7 +479,7 @@ def main(argv=None):
                 "selfdual": cmd_selfdual, "orbits": cmd_orbits}
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -13,7 +13,7 @@ import pytest
 
 from twistedmaps import census, oracle
 from twistedmaps.canonical import all_classes
-from twistedmaps.cli import _build_parser, main
+from twistedmaps.cli import ENUM_BOUND, _build_parser, main
 from twistedmaps.numth import divisors, mobius
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -148,7 +148,7 @@ def test_verify_orbits_small_q(capsys):
 
 
 def test_verify_orbits_beyond_bound_is_a_resource_error(capsys):
-    code, _, err = run(capsys, ["verify", "--q", "17", "--level", "orbits"])
+    code, _, err = run(capsys, ["verify", "--q", "29", "--level", "orbits"])
     assert code == 3
     assert "capped" in err
 
@@ -172,9 +172,10 @@ def test_bruteforce_output_matches_benchmark_record(capsys):
 
 
 def test_verify_bruteforce_gate_and_force(capsys):
-    code, _, err = run(capsys, ["verify", "--q", "11",
+    code, out, _ = run(capsys, ["verify", "--q", "11",
                                 "--level", "bruteforce"])
-    assert code == 3
+    assert code == 0
+    assert out.endswith("q=11 level=bruteforce: 16/16 checks passed\n")
     code, out, _ = run(capsys, ["verify", "--q", "11",
                                 "--level", "bruteforce", "--force"])
     assert code == 0
@@ -183,6 +184,23 @@ def test_verify_bruteforce_gate_and_force(capsys):
     code, _, err = run(capsys, ["verify", "--q", "29",
                                 "--level", "bruteforce", "--force"])
     assert code == 3
+    assert "capped at q <= 27" in err
+
+
+# the first q with a level f that has proper levels below it (f = 3), and
+# the prime square just before it; each takes up to a minute and 0.5 GB
+@pytest.mark.extended
+@pytest.mark.parametrize("q, checks", [(25, 10), (27, 12)])
+def test_verify_bruteforce_at_the_cap(capsys, q, checks):
+    code, out, _ = run(capsys, ["verify", "--q", str(q),
+                                "--level", "bruteforce"])
+    assert code == 0, out
+    assert out.endswith("q=%d level=bruteforce: %d/%d checks passed\n"
+                        % (q, checks, checks))
+    if q == 27:
+        rows = {w[1]: w[3] for w in map(str.split, out.splitlines()[:-1])}
+        assert rows["fusion-bundles"] == "22050"
+        assert rows["reflexible-maps"] == "2394"
 
 
 def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
@@ -226,10 +244,17 @@ def test_verify_selfdual_without_reference_row_is_usage(capsys):
     assert "reference row" in err
 
 
-def test_verify_selfdual_beyond_bound_is_resource(capsys):
-    code, _, err = run(capsys, ["verify", "--q", "17",
+def test_every_selfdual_reference_row_is_within_the_cap():
+    # verify --level selfdual checks for a row, not for the cap
+    assert max(oracle.SELFDUAL_TABLE) <= ENUM_BOUND
+
+
+@pytest.mark.extended
+def test_verify_selfdual_q17_against_embedded_row(capsys):
+    code, out, _ = run(capsys, ["verify", "--q", "17",
                                 "--level", "selfdual"])
-    assert code == 3
+    assert code == 0
+    assert "8/8 checks passed" in out
 
 
 def test_selfdual_csv_column_contract(capsys):
@@ -242,7 +267,7 @@ def test_selfdual_csv_column_contract(capsys):
 
 
 def test_selfdual_infeasible_exit(capsys):
-    code, _, err = run(capsys, ["selfdual", "--q", "17"])
+    code, _, err = run(capsys, ["selfdual", "--q", "29"])
     assert code == 3
 
 
@@ -273,7 +298,7 @@ def test_orbits_fused_q9(capsys):
 
 
 def test_orbits_bound_is_resource_guard(capsys):
-    code, _, err = run(capsys, ["orbits", "--q", "17"])
+    code, _, err = run(capsys, ["orbits", "--q", "29"])
     assert code == 3
 
 
@@ -352,6 +377,20 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert "Traceback" in err
     assert err.endswith("error: internal failure: KeyError('bundle')\n")
+
+
+def test_value_error_inside_a_computation_exits_4(capsys, monkeypatch):
+    # only the input checks exit 2; a ValueError from the oracle is a defect
+    def broken(F, cls, quad):
+        raise ValueError("quad is not admissible")
+
+    monkeypatch.setattr(oracle, "quad_matrix", broken)
+    code, out, err = run(capsys, ["verify", "--q", "3", "--level",
+                                  "bruteforce"])
+    assert (code, out) == (4, "")
+    assert "Traceback" in err
+    assert err.endswith("error: internal failure: "
+                        "ValueError('quad is not admissible')\n")
 
 
 def test_verify_json_uses_string_integers(capsys):

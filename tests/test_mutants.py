@@ -4,8 +4,10 @@ Each mutant replaces one census function with a plausible slip.  Every
 mutant is run through cli.main on `verify --level bruteforce` at
 q in {3, 5, 7, 9} and on `verify --level formulas` at every odd prime power
 up to 243, and the table says which runs catch it, with which exit code.
-The oracle reads nothing from census, so its results are computed once per
-q and shared by all mutants.
+The `extended` marker adds `verify --level bruteforce` at q = 27, the first
+q whose f (3) has a proper level below it, where the odd-part inversion
+meets the oracle.  The oracle reads nothing from census, so its results
+are computed once per q and shared by all mutants.
 """
 
 import pytest
@@ -17,6 +19,7 @@ BRUTE_Q = (3, 5, 7, 9)
 FORMULA_Q = tuple(q for q in range(3, 244, 2) if prime_power(q))
 RUNS = ([("bruteforce", q) for q in BRUTE_Q]
         + [("formulas", q) for q in FORMULA_Q])
+ODD_F_RUN = ("bruteforce", 27)   # about a minute and 0.5 GB: extended only
 
 
 def _n_f_off_by_one(q):
@@ -42,31 +45,27 @@ def _no_reflexible_inversion(p, f):
     return census.total_reflexible_orbits(p ** f)
 
 
-# Bruteforce runs stop at q = 9, where f <= 2 and twisted_divisors(f) is
-# [f]: no oracle check reaches an odd f > 1, so the odd-part inversion is
-# checked only by the formulas' own round trip and divisibility.
-ODD_F_UNREACHED = "no bruteforce run reaches an odd f > 1"
-
 # name: (census attribute, replacement, {run: exit code} of the runs that
-#        catch it, why it survives every bruteforce run or None)
+#        catch it, ODD_F_RUN included)
+# count_maps and count_reflexible_maps assert that f divides the generating
+# orbits they are given; ODD_F_RUN reads both, so it exits 4 on each
+# inversion mutant.
 MUTANTS = {
     "n_F off by one": (
-        "n_F", _n_f_off_by_one, dict.fromkeys(RUNS, 1), None),
-    # count_maps asserts the Galois action divides the generating orbits
+        "n_F", _n_f_off_by_one, dict.fromkeys(RUNS + [ODD_F_RUN], 1)),
     "Moebius over divisors(f)": (
         "count_generating_orbits", _mobius_over_all_divisors,
         {("bruteforce", 9): 4,
-         **{("formulas", q): 1 for q in (9, 25, 49, 81, 121, 169)}},
-        None),
+         **{("formulas", q): 1 for q in (9, 25, 49, 81, 121, 169)}}),
     "no inversion for generating orbits": (
         "count_generating_orbits", _no_generating_inversion,
-        {("formulas", q): 1 for q in (27, 125, 243)}, ODD_F_UNREACHED),
+        {ODD_F_RUN: 4, **{("formulas", q): 1 for q in (27, 125, 243)}}),
     "sign-flipped proper Moebius terms": (
         "count_generating_orbits", _flipped_proper_terms,
-        {("formulas", q): 1 for q in (27, 125, 243)}, ODD_F_UNREACHED),
+        {ODD_F_RUN: 4, **{("formulas", q): 1 for q in (27, 125, 243)}}),
     "no inversion for reflexible orbits": (
         "count_reflexible_generating_orbits", _no_reflexible_inversion,
-        {("formulas", q): 1 for q in (27, 243)}, ODD_F_UNREACHED),
+        {ODD_F_RUN: 4, **{("formulas", q): 1 for q in (27, 243)}}),
 }
 
 
@@ -82,17 +81,18 @@ def caught_by(monkeypatch, capsys, oracle_cache):
     for owner, name in ((cli, "_oracle_compute"), (oracle, "closure_order")):
         real = getattr(owner, name)
 
-        def shared(*args, _real=real, _name=name):
-            key = (_name,) + args
+        # generated_level passes closure_order a cap at levels f > 2
+        def shared(*args, _real=real, _name=name, **kwargs):
+            key = (_name,) + args + tuple(sorted(kwargs.items()))
             if key not in oracle_cache:
-                oracle_cache[key] = _real(*args)
+                oracle_cache[key] = _real(*args, **kwargs)
             return oracle_cache[key]
 
         monkeypatch.setattr(owner, name, shared)
 
-    def run_all():
+    def run_all(runs):
         out = {}
-        for level, q in RUNS:
+        for level, q in runs:
             code = cli.main(["verify", "--q", str(q), "--level", level])
             stdout = capsys.readouterr().out
             if code:
@@ -106,13 +106,29 @@ def caught_by(monkeypatch, capsys, oracle_cache):
 
 def test_unmutated_census_passes_every_run(caught_by):
     assert len(RUNS) == 65
-    assert caught_by() == {}
+    assert caught_by(RUNS) == {}
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant_is_caught_where_the_table_says(name, caught_by, monkeypatch):
-    attr, replacement, caught, survives_bruteforce = MUTANTS[name]
+    attr, replacement, caught = MUTANTS[name]
     monkeypatch.setattr(census, attr, replacement)
-    assert caught_by() == caught
-    reaches_oracle = any(level == "bruteforce" for level, _ in caught)
-    assert reaches_oracle == (survives_bruteforce is None)
+    assert caught_by(RUNS) == {run: code for run, code in caught.items()
+                               if run != ODD_F_RUN}
+    # no mutant survives every bruteforce run (ODD_F_RUN is checked below)
+    assert any(level == "bruteforce" for level, _ in caught)
+
+
+@pytest.mark.extended
+def test_unmutated_census_passes_at_odd_f(caught_by):
+    assert caught_by([ODD_F_RUN]) == {}
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name", MUTANTS)
+def test_mutant_is_caught_at_odd_f_where_the_table_says(name, caught_by,
+                                                        monkeypatch):
+    attr, replacement, caught = MUTANTS[name]
+    monkeypatch.setattr(census, attr, replacement)
+    assert caught_by([ODD_F_RUN]) == {run: code for run, code in caught.items()
+                                      if run == ODD_F_RUN}
