@@ -20,7 +20,8 @@ is twice the generic size.
 from dataclasses import dataclass
 from math import gcd
 
-from .twisted_group import TwElem, conjugate, in_G, mat_frob, mat_inv, mat_mul
+from .twisted_group import (TwElem, char_roots, conjugate, in_G, mat_frob,
+                            mat_inv, mat_mul)
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,6 @@ def class_size(c, q):
 
 # ---------------------------------------------------------------------------
 
-def _eigenvalues(F, M):
-    """Roots of the characteristic polynomial of M, asserted distinct."""
-    a, b, c, d = M
-    tr = F.add(a, d)
-    det = F.sub(F.mul(a, d), F.mul(b, c))
-    disc = F.sub(F.mul(tr, tr), F.mul(4 % F.p, det))
-    assert disc != 0, "characteristic roots must be distinct"
-    s = F.sqrt(disc)
-    assert s is not None, "characteristic roots must lie in the field"
-    half = F.inv(2 % F.p)
-    l1 = F.mul(F.add(tr, s), half)
-    l2 = F.mul(F.sub(tr, s), half)
-    return l1, l2
-
-
 def _eigenvector(F, M, lam):
     a, b, c, d = M
     v = (b, F.sub(lam, a))
@@ -107,7 +93,9 @@ def canonical_form(x):
 
     A = x.matrix
     M = mat_mul(F, A, mat_frob(F, A, f))
-    l1, l2 = _eigenvalues(F, M)
+    roots = char_roots(F, M)
+    assert roots is not None, "characteristic roots must be distinct"
+    l1, l2 = roots
 
     u1 = _eigenvector(F, M, l1)
     u2 = _eigenvector(F, M, l2)

@@ -15,7 +15,8 @@ counting proceeds in two stages:
 Reflexible maps admit the same treatment with total (q^2-1)(3q-2)/8.
 """
 
-from .numth import divisors, is_prime, mobius, odd_part, odd_prime_power
+from .numth import (checked_power, divisors, mobius, odd_part,
+                    odd_prime_power)
 
 
 def n_F(q):
@@ -97,9 +98,7 @@ def twisted_divisors(f):
 def count_generating_orbits(p, f):
     """Orbits of admissible pairs over GF(p^{2f}) generating the full twisted
     group (not a twisted subgroup over a subfield)."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return sum(mobius(f // e) * total_orbits(p ** e)
+    return sum(mobius(f // e) * total_orbits(checked_power(p, e))
                for e in twisted_divisors(f))
 
 
@@ -111,9 +110,7 @@ def count_maps(p, f):
 
 
 def count_reflexible_generating_orbits(p, f):
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return sum(mobius(f // e) * total_reflexible_orbits(p ** e)
+    return sum(mobius(f // e) * total_reflexible_orbits(checked_power(p, e))
                for e in twisted_divisors(f))
 
 

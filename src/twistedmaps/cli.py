@@ -20,7 +20,7 @@ import traceback
 from . import census, oracle
 from .canonical import all_classes, is_exceptional
 from .gfield import ResourceLimitError, make_field
-from .numth import is_prime, mobius, odd_part, odd_prime_power
+from .numth import checked_power, is_prime, mobius, odd_part, odd_prime_power
 
 ENUM_BOUND = 27        # q at or below which every enumerating command runs
 MAX_Q = 10 ** 6        # range of --q and count --p, checked before factoring
@@ -135,11 +135,11 @@ def cmd_count(args):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
     _check_printable([p ** min(f, int(limit / math.log10(p)) + 2)])
 
-    q = p ** f
+    q = checked_power(p, f)
     counts = census.orbit_counts(q)
     lattice = []
     for e in census.twisted_divisors(f):
-        orb = census.total_orbits(p ** e)
+        orb = census.total_orbits(checked_power(p, e))
         mu = mobius(f // e)
         lattice.append((e, orb, mu, mu * orb))
     generating = census.count_generating_orbits(p, f)

@@ -77,10 +77,26 @@ def prime_power(q: int):
     return fac[0]
 
 
+_CHECKED = {}  # q -> (p, f) for each q that checked_power built
+
+
+def checked_power(p: int, f: int) -> int:
+    """q = p^f for an odd prime p and f >= 1, else ValueError.  The checks
+    on p and f stand for odd_prime_power(q) from then on, which would
+    otherwise trial-divide q: seconds for a q of thousands of digits."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if f < 1:
+        raise ValueError("exponent must be positive")
+    q = p ** f
+    _CHECKED[q] = (p, f)
+    return q
+
+
 def odd_prime_power(q: int):
     """Return (p, f) with q = p^f for an odd prime p; raise ValueError for
     any other q.  The one validator of q shared by census, oracle and CLI."""
-    pf = prime_power(q)
+    pf = _CHECKED.get(q) or prime_power(q)
     if pf is None or pf[0] == 2:
         raise ValueError("q must be a power of an odd prime, got %d" % q)
     return pf

@@ -30,7 +30,7 @@ from .canonical import (all_classes, canonical_form, canonical_rep,
 from .gfield import make_field
 from .numth import divisors, odd_part, odd_prime_power
 from .twisted_group import (TwElem, conjugate, identity, mat_frob, mat_inv,
-                            mat_mul, order)
+                            order)
 
 
 def _lam_sigma(F, cls):
@@ -124,13 +124,12 @@ def class_quads(F, cls):
                 if exceptional and _order4_partner(F, cls, quad):
                     continue
                 yield quad
-    for first in F.units():
-        fi = F.inv(first)
-        for u in nonsquares:
-            if u == ls:
-                continue
-            second = F.mul(F.sub(u, ls), fi)
-            quad = (first, second, u)
+    # second = (u - lam^sigma) / first, one exp lookup on the log of u - ls
+    diffs = [(u, F.dlog(F.sub(u, ls))) for u in nonsquares if u != ls]
+    n = F.size - 1
+    for k, first in enumerate(F.units()):  # first = xi^k
+        for u, d in diffs:
+            quad = (first, F.exp[(d - k) % n], u)
             if exceptional and _order4_partner(F, cls, quad):
                 continue
             yield quad
@@ -149,7 +148,8 @@ def act_quad(F, cls, g, quad):
 def _stabilizer_moves(F, cls):
     """Each stabilizer element g = [D, j] as a raw-matrix move (L, R, j):
     conjugate([A, 1], g) = g^-1 [A, 1] g = [L A^(sigma^j) R, 1] with
-    L = (D^(sigma^j))^-1 and R = D^(sigma^(j+1))."""
+    L = (D^(sigma^j))^-1 and R = D^(sigma^(j+1)).  D is diagonal or
+    antidiagonal, so L and R are too; orbit_partition relies on it."""
     f = F.m // 2
     moves = []
     for g in stabilizer_elements(cls, F):
@@ -158,24 +158,73 @@ def _stabilizer_moves(F, cls):
     return moves
 
 
+# flat positions (row-major) of the corner, first, second and shape entries
+# of a partner matrix, as _as_quad reads them
+_SLOTS = {"dia": (0, 1, 2, 3), "off": (2, 0, 3, 1)}
+
+
+def _log_move(F, cls, L, R, j):
+    """A move (L, R, j) in log form (j, corner, first, second, shape, then
+    three offsets).  With L and R monomial, entry (r, c) of L X R is
+    X[r ^ tL][c ^ tR] times a unit, tL and tR being 1 for antidiagonal.
+    corner ... shape are the positions in X that land in those slots; the
+    offsets are the logs of the units by which first, second and shape are
+    scaled once the whole matrix is scaled by -1/corner."""
+    tL, tR = (0 if M[0] else 1 for M in (L, R))
+    assert all(M[1 - t] == M[2 + t] == 0 for M, t in ((L, tL), (R, tR))), \
+        "stabilizer moves must be monomial"
+    entries, units = [], []
+    for pos in _SLOTS[cls.form]:
+        r, c = divmod(pos, 2)
+        entries.append(2 * (r ^ tL) + (c ^ tR))
+        units.append(F.dlog(L[2 * r + (r ^ tL)]) + F.dlog(R[2 * (c ^ tR) + c]))
+    n, half = F.size - 1, F.dlog(F.neg(1))
+    return (j, *entries, *((u - units[0] + half) % n for u in units[1:]))
+
+
 def orbit_partition(F, cls):
     """Partition of the class block into sorted stabilizer orbits, walking
-    each once: the matrix A of its first quad and A^sigma are built once,
-    and every stabilizer move is applied to them as plain matrix products
-    (act_quad is the one-step TwElem reference).  Semiregularity (orbit
-    length == stabilizer size) is asserted for every orbit."""
-    moves = _stabilizer_moves(F, cls)
+    each once on discrete logs.  Every move is monomial, so each entry of
+    L A^(sigma^j) R is one entry of A^(sigma^j) times a known unit: per
+    orbit the logs of A's entries are taken once (sigma multiplies a log by
+    q), and per member first and second are one exp lookup each and u one
+    Zech lookup.  The checks of _as_quad are kept as asserts (nonzero
+    corner, involution shape, u a non-square), and semiregularity (orbit
+    length == stabilizer size) is asserted for every orbit.  act_quad is
+    the one-step TwElem reference."""
+    moves = [_log_move(F, cls, *move) for move in _stabilizer_moves(F, cls)]
+    n = F.size - 1
+    q = F.p ** (F.m // 2)
+    exp, log, zech = F.exp, F.log, F.zech
     ls = _lam_sigma(F, cls)
-    f = F.m // 2
+    lls = log[ls]
+    corner = "%s-shaped partner has nonzero corner" % cls.form
     seen = set()
     orbits = []
     for quad in class_quads(F, cls):
         if quad in seen:
             continue
-        A = quad_matrix(F, cls, quad)
-        twists = (A, mat_frob(F, A, f))
-        orbit = {_as_quad(F, cls, ls, mat_mul(F, L, mat_mul(F, twists[j], R)))
-                 for L, R, j in moves}
+        la = [log[a] for a in quad_matrix(F, cls, quad)]  # -1 marks a zero
+        twists = (la, [a * q % n if a >= 0 else -1 for a in la])
+        orbit = set()
+        for j, ic, i1, i2, ish, o1, o2, osh in moves:
+            lx = twists[j]
+            lc, l1, l2, lsh = lx[ic], lx[i1], lx[i2], lx[ish]
+            assert lc >= 0, corner
+            assert lsh >= 0 and (lsh - lc + osh) % n == lls, \
+                "partner must keep the involution shape"
+            if l1 < 0 or l2 < 0:  # an off row with a = 0 or d = 0
+                first = exp[(l1 - lc + o1) % n] if l1 >= 0 else 0
+                second = exp[(l2 - lc + o2) % n] if l2 >= 0 else 0
+                lu = lls
+            else:
+                e1, e2 = (l1 - lc + o1) % n, (l2 - lc + o2) % n
+                first, second = exp[e1], exp[e2]
+                z = zech[(e1 + e2 - lls) % n]  # u = ls (1 + first second/ls)
+                assert z >= 0, "partner must be twisted in G"
+                lu = (lls + z) % n
+            assert lu % 2, "partner must be twisted in G"
+            orbit.add((first, second, exp[lu]))
         assert len(orbit) == len(moves), "stabilizer action must be semiregular"
         assert quad in orbit
         seen.update(orbit)

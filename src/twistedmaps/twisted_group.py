@@ -14,6 +14,8 @@ twisted group; its elements with twist bit 1 are the "twisted" elements.
 Matrices are 4-tuples (a, b, c, d) of field ints, row-major.
 """
 
+from math import gcd
+
 from .numth import factorize
 
 
@@ -45,6 +47,20 @@ def mat_inv(F, X):
 
 def mat_frob(F, X, k):
     return tuple(F.frobenius(x, k) for x in X)
+
+
+def char_roots(F, M):
+    """Roots (l1, l2) of the characteristic polynomial of M = A A^sigma, or
+    None for a repeated root.  x = [A, 1] squares to [M, 0], and the
+    polynomial has coefficients in GF(q), so its roots lie in F."""
+    tr = F.add(M[0], M[3])
+    disc = F.sub(F.mul(tr, tr), F.mul(4 % F.p, mat_det(F, M)))
+    if disc == 0:
+        return None
+    s = F.sqrt(disc)
+    assert s is not None, "characteristic roots must lie in the field"
+    half = F.inv(2 % F.p)
+    return F.mul(F.add(tr, s), half), F.mul(F.sub(tr, s), half)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +155,18 @@ def group_order(F, which="G"):
 
 
 def order(x):
-    """Element order, by exponent descent from the ambient group order."""
-    e = group_order(x.F, "Gbar")
+    """Element order.  A twisted x = [A, 1] squares to [M, 0], and when the
+    characteristic roots l1, l2 of M are distinct, M is projectively
+    dia(l1/l2, 1), so order(x) = 2 ord(l1/l2).  Untwisted elements and a
+    repeated root take exponent descent from the ambient group order."""
+    F = x.F
+    if x.i:
+        roots = char_roots(F, mat_mul(F, x.matrix,
+                                      mat_frob(F, x.matrix, F.m // 2)))
+        if roots:
+            n = F.size - 1
+            return 2 * n // gcd(n, F.dlog(F.div(*roots)))
+    e = group_order(F, "Gbar")
     o = e
     for r, _ in factorize(e):
         while o % r == 0 and (x ** (o // r)).is_identity():

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import venv
 from pathlib import Path
 
@@ -108,6 +109,15 @@ def test_count_too_long_to_print_is_a_resource_error(capsys):
         assert limit in err
     code, out, _ = run(capsys, ["count", "--p", "3", "--f", "2"])
     assert (code, out) == (0, COUNT_Q9)
+
+
+def test_count_does_not_factor_the_q_it_builds(capsys):
+    # q = 999983^716 has 4,296 digits: trial-dividing it took 1.3 s, where
+    # checking p and f takes microseconds; its counts are too long to print
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["count", "--p", "999983", "--f", "716"])
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - start < 0.3
 
 
 def test_count_rejects_bad_parameters(capsys):

@@ -26,7 +26,7 @@ from twistedmaps.oracle import (SELFDUAL_TABLE, act_quad, brute_reflexible,
                                 orbit_count_summary, orbit_records, pair_quad,
                                 quad_pair, self_duality, selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
-                                       mat_frob, order)
+                                       mat_frob, mat_mul, order)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -109,6 +109,23 @@ def test_partition_computes_lam_sigma_per_class_not_per_quad(monkeypatch):
     assert len(calls) < 1000  # 16,475 when it ran once per quad
 
 
+def test_partition_makes_no_matrix_product_per_quad(monkeypatch):
+    # oracle.mat_mul is patched even when oracle does not import it, so a
+    # walk that goes back to matrix products is counted
+    products = [0]
+
+    def counted(*args):
+        products[0] += 1
+        return mat_mul(*args)
+
+    monkeypatch.setattr(oracle, "mat_mul", counted, raising=False)
+    quads = _count_calls(monkeypatch, oracle, "_as_quad")
+    orbits = oracle.enumerate_orbits(9)
+    assert sum(len(o) for o in orbits.values()) == 790
+    assert products[0] == 0  # 31,360 with two products per quad
+    assert quads[0] == 0  # 15,680 with one _as_quad per quad
+
+
 def test_quad_pair_rejects_inadmissible_quads_under_optimize():
     # the check must not be an assert, which -O strips
     code = textwrap.dedent("""
@@ -181,14 +198,32 @@ def test_orbits_cover_every_quad_once(F25, orbits5):
 def test_act_quad_keeps_each_orbit(F9, F25, F49, F81, orbits3, orbits5,
                                   orbits7, orbits9):
     # act_quad is the TwElem one-step reference for the partition's
-    # raw-matrix walk: its images of each first quad are the whole orbit
+    # log-domain walk: its images of each first quad are the whole orbit;
+    # q = 11 adds a dia exceptional class
     for F, orbits in ((F9, orbits3), (F25, orbits5), (F49, orbits7),
-                      (F81, orbits9)):
+                      (F81, orbits9),
+                      (make_field(11, 2), enumerate_orbits(11))):
         for cls, cls_orbits in orbits.items():
             stab = stabilizer_elements(cls, F)
             for orbit in cls_orbits:
                 assert set(orbit) == {act_quad(F, cls, g, orbit[0])
                                       for g in stab}
+
+
+def test_partition_walk_rejects_a_move_outside_the_stabilizer(F25,
+                                                             monkeypatch):
+    # dia(xi, 1) L A^(sigma^j) R is monomial like every move, but scales one
+    # row, so the walk's shape check must refuse it
+    moves = oracle._stabilizer_moves
+
+    def skewed(F, cls):
+        (L, R, j), *rest = moves(F, cls)
+        return [(mat_mul(F, (F.xi, 0, 0, 1), L), R, j)] + rest
+
+    monkeypatch.setattr(oracle, "_stabilizer_moves", skewed)
+    for cls in all_classes(5):
+        with pytest.raises(AssertionError, match="involution shape"):
+            oracle.orbit_partition(F25, cls)
 
 
 def test_partition_builds_one_pair_per_orbit(monkeypatch):

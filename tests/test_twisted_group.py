@@ -97,6 +97,16 @@ def test_order_matches_naive_sampled_q5(F25):
         assert tg.order(x) == tg.naive_order(x)
 
 
+def test_twisted_order_from_eigenvalues_matches_naive(F9, F25):
+    # every twisted element of Gbar at q = 3 (those of G, and x with a
+    # repeated root of A A^sigma, which take exponent descent) and of G at
+    # q = 5
+    for F, which in ((F9, "Gbar"), (F25, "G")):
+        for x in tg.all_group_elements(F, which):
+            if x.i == 1:
+                assert tg.order(x) == tg.naive_order(x)
+
+
 def test_twisted_element_orders_divisible_by_four_q3(F9):
     # exhaustive over the 360 twisted elements of M(9)
     for x in tg.all_group_elements(F9, "G"):
