@@ -110,11 +110,17 @@ REFLEX_KEYS = ("dia_plain", "dia_twisted", "off_plain", "off_twisted",
                "dia_total", "off_total", "total")
 
 
+def _digit_limit():
+    """The interpreter's cap on the decimal digits of a printed int, 0 for
+    none (sys.get_int_max_str_digits, Python 3.10.7+)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _check_printable(values):
     """Counts are exact, but the interpreter refuses to print an int with
-    more decimal digits than sys.get_int_max_str_digits(); refuse up front
-    so no output is half written."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
+    more decimal digits than _digit_limit(); refuse up front so no output
+    is half written."""
+    limit = _digit_limit()
     if limit and any(abs(v) >= 10 ** limit for v in values):
         raise ResourceLimitError(
             "a count has more than %d decimal digits, the interpreter's "
@@ -132,8 +138,7 @@ def cmd_count(args):
         raise UsageError("f must be a positive integer, got %d" % f)
     # q = p^f is a printed row itself: refuse an overlong q before any
     # census call, building no power of p beyond the first past the limit
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
-    _check_printable([p ** min(f, int(limit / math.log10(p)) + 2)])
+    _check_printable([p ** min(f, int(_digit_limit() / math.log10(p)) + 2)])
 
     q = checked_power(p, f)
     counts = census.orbit_counts(q)

@@ -40,6 +40,11 @@ def _lam_sigma(F, cls):
 # ---------------------------------------------------------------------------
 # quads <-> pairs
 
+# flat positions (row-major) of the corner, first, second and shape entries
+# of a partner matrix; the corner is -1 and the shape entry lam^sigma
+_SLOTS = {"dia": (0, 1, 2, 3), "off": (2, 0, 3, 1)}
+
+
 def quad_matrix(F, cls, quad):
     """Matrix A of the twisted x = [A, 1] a quad encodes against one class;
     raises ValueError unless u is the non-square first*second + lam^sigma."""
@@ -47,9 +52,10 @@ def quad_matrix(F, cls, quad):
     ls = _lam_sigma(F, cls)
     if F.add(F.mul(first, second), ls) != u or F.is_square(u):
         raise ValueError("quad %r is not admissible against %r" % (quad, cls))
-    if cls.form == "dia":
-        return (F.neg(1), first, second, ls)
-    return (first, ls, F.neg(1), second)
+    A = [0] * 4
+    for pos, a in zip(_SLOTS[cls.form], (F.neg(1), first, second, ls)):
+        A[pos] = a
+    return tuple(A)
 
 
 def quad_pair(F, cls, quad):
@@ -62,29 +68,15 @@ def matrix_quad(F, cls, M):
     class representative; shape violations raise.  M scales to a matrix of
     determinant -u (dia) or u (off), so asserting u a non-square asserts
     that M is nonsingular with the determinant class of a twisted x."""
-    return _as_quad(F, cls, _lam_sigma(F, cls), M)
-
-
-def _as_quad(F, cls, ls, M):
-    m11, m12, m21, m22 = M
-    if cls.form == "dia":
-        assert m11 != 0, "dia-shaped partner has nonzero corner"
-        s = F.neg(F.inv(m11))
-        first, second = F.mul(s, m12), F.mul(s, m21)
-        assert F.mul(s, m22) == ls, "partner must keep the involution shape"
-    else:
-        assert m21 != 0, "off-shaped partner has nonzero corner"
-        s = F.neg(F.inv(m21))
-        first, second = F.mul(s, m11), F.mul(s, m22)
-        assert F.mul(s, m12) == ls, "partner must keep the involution shape"
+    corner, first, second, shape = (M[pos] for pos in _SLOTS[cls.form])
+    assert corner != 0, "%s-shaped partner has nonzero corner" % cls.form
+    s = F.neg(F.inv(corner))
+    first, second = F.mul(s, first), F.mul(s, second)
+    ls = _lam_sigma(F, cls)
+    assert F.mul(s, shape) == ls, "partner must keep the involution shape"
     u = F.add(F.mul(first, second), ls)
     assert u != 0 and not F.is_square(u), "partner must be twisted in G"
     return (first, second, u)
-
-
-def pair_quad(F, cls, x):
-    """Quad of a twisted x paired with the class representative."""
-    return matrix_quad(F, cls, x.matrix)
 
 
 def pair_key(F, first, second):
@@ -92,47 +84,36 @@ def pair_key(F, first, second):
     class of second, and the quad of first once second is conjugated onto
     that class's representative."""
     cls, w = canonical_form(second)
-    return cls, pair_quad(F, cls, conjugate(first, w))
-
-
-def _order4_partner(F, cls, quad):
-    """Whether the x of this quad has order 4 (trace of A A^sigma vanishes);
-    only consulted in exceptional classes, where such pairs are excluded."""
-    f = F.m // 2
-    first, second, _ = quad
-    if cls.form == "dia":
-        # trace = 1 + b c^q + b^q c + lam^{q+1} with lam^{q+1} = -1 here
-        t = F.add(F.mul(first, F.frobenius(second, f)),
-                  F.mul(F.frobenius(first, f), second))
-        return t == 0
-    # trace = a a^q + d d^q - (lam + lam^q) with lam + lam^q = 0 here
-    t = F.add(F.pow(first, F.p ** f + 1), F.pow(second, F.p ** f + 1))
-    return t == 0
+    return cls, matrix_quad(F, cls, conjugate(first, w).matrix)
 
 
 def class_quads(F, cls):
-    """All admissible quads against one class, generated deterministically."""
+    """All admissible quads against one class, generated deterministically.
+
+    In an exceptional class y has order 4, so quads whose x has order 4 as
+    well are dropped.  x = [A, 1] has order 4 iff the trace of A A^sigma
+    vanishes; with first = xi^k and u - lam^sigma = xi^d that trace is
+    zero iff (2k - d)(q - 1) (dia) or (2k - d)(q + 1) (off) is n/2 mod
+    n = q^2 - 1.  The off rows with a zero entry never have trace 0."""
     q = F.p ** (F.m // 2)
     ls = _lam_sigma(F, cls)
-    exceptional = is_exceptional(cls, q)
     nonsquares = [w for w in F.units() if not F.is_square(w)]
 
     if cls.form == "off":
         # rows with a = 0 or d = 0 force u = lam^sigma
         for t in F.units():
-            for quad in ((0, t, ls), (t, 0, ls)):
-                if exceptional and _order4_partner(F, cls, quad):
-                    continue
-                yield quad
+            yield (0, t, ls)
+            yield (t, 0, ls)
     # second = (u - lam^sigma) / first, one exp lookup on the log of u - ls
     diffs = [(u, F.dlog(F.sub(u, ls))) for u in nonsquares if u != ls]
     n = F.size - 1
+    exceptional = is_exceptional(cls, q)
+    r = q - 1 if cls.form == "dia" else q + 1
     for k, first in enumerate(F.units()):  # first = xi^k
         for u, d in diffs:
-            quad = (first, F.exp[(d - k) % n], u)
-            if exceptional and _order4_partner(F, cls, quad):
+            if exceptional and (2 * k - d) * r % n == n // 2:
                 continue
-            yield quad
+            yield (first, F.exp[(d - k) % n], u)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +123,7 @@ def act_quad(F, cls, g, quad):
     """Image of a quad under conjugating its x by a stabilizer element of y:
     the one-step reference for the walk orbit_partition makes per orbit."""
     x, _ = quad_pair(F, cls, quad)
-    return pair_quad(F, cls, conjugate(x, g))
+    return matrix_quad(F, cls, conjugate(x, g).matrix)
 
 
 def _stabilizer_moves(F, cls):
@@ -156,11 +137,6 @@ def _stabilizer_moves(F, cls):
         D = (g.matrix, mat_frob(F, g.matrix, f))  # D^(sigma^0), D^(sigma^1)
         moves.append((mat_inv(F, D[g.i]), D[1 - g.i], g.i))
     return moves
-
-
-# flat positions (row-major) of the corner, first, second and shape entries
-# of a partner matrix, as _as_quad reads them
-_SLOTS = {"dia": (0, 1, 2, 3), "off": (2, 0, 3, 1)}
 
 
 def _log_move(F, cls, L, R, j):
@@ -188,7 +164,7 @@ def orbit_partition(F, cls):
     L A^(sigma^j) R is one entry of A^(sigma^j) times a known unit: per
     orbit the logs of A's entries are taken once (sigma multiplies a log by
     q), and per member first and second are one exp lookup each and u one
-    Zech lookup.  The checks of _as_quad are kept as asserts (nonzero
+    Zech lookup.  The checks of matrix_quad are kept as asserts (nonzero
     corner, involution shape, u a non-square), and semiregularity (orbit
     length == stabilizer size) is asserted for every orbit.  act_quad is
     the one-step TwElem reference."""

@@ -314,10 +314,11 @@ def test_orbits_bound_is_resource_guard(capsys):
 
 def test_output_matches_golden_file(capsys):
     # stdout bytes and exit codes of 15 invocations in each format, error
-    # cases included; the file is data, never regenerated from this code
+    # cases included, plus the text bruteforce run at q=17; the file is
+    # data, never regenerated from this code
     cases = json.loads((ROOT / "tests" / "data" / "cli_golden.json")
                        .read_text(encoding="utf-8"))
-    assert len(cases) == 45
+    assert len(cases) == 46
     for case in cases:
         code, out, _ = run(capsys, case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]

@@ -23,8 +23,8 @@ from twistedmaps.oracle import (SELFDUAL_TABLE, act_quad, brute_reflexible,
                                 class_quads, closure_order, enumerate_orbits,
                                 fused_records, galois_fuse, generated_level,
                                 is_reflexible, matrix_quad,
-                                orbit_count_summary, orbit_records, pair_quad,
-                                quad_pair, self_duality, selfdual_cells)
+                                orbit_count_summary, orbit_records, quad_pair,
+                                self_duality, selfdual_cells)
 from twistedmaps.twisted_group import (TwElem, all_group_elements, conjugate,
                                        mat_frob, mat_mul, order)
 
@@ -70,7 +70,7 @@ def test_quads_are_distinct_and_round_trip(F25):
         assert len(set(quads)) == len(quads)
         for quad in quads[::7]:
             x, y = quad_pair(F25, cls, quad)
-            assert pair_quad(F25, cls, x) == quad
+            assert matrix_quad(F25, cls, x.matrix) == quad
 
 
 def test_quad_pair_rejects_inadmissible_quads(F25):
@@ -119,11 +119,11 @@ def test_partition_makes_no_matrix_product_per_quad(monkeypatch):
         return mat_mul(*args)
 
     monkeypatch.setattr(oracle, "mat_mul", counted, raising=False)
-    quads = _count_calls(monkeypatch, oracle, "_as_quad")
+    quads = _count_calls(monkeypatch, oracle, "matrix_quad")
     orbits = oracle.enumerate_orbits(9)
     assert sum(len(o) for o in orbits.values()) == 790
     assert products[0] == 0  # 31,360 with two products per quad
-    assert quads[0] == 0  # 15,680 with one _as_quad per quad
+    assert quads[0] == 0  # 15,680 with one matrix_quad per quad
 
 
 def test_quad_pair_rejects_inadmissible_quads_under_optimize():
@@ -157,21 +157,34 @@ def test_pairs_have_involutory_product_and_canonical_y(F9, F25):
                 assert order(y) == canonical_order(cls, q)
 
 
-def test_exceptional_blocks_drop_order4_partners(F9, F25):
+def test_exceptional_blocks_drop_order4_partners(F9, F25, F49, F81):
     # in an exceptional class y itself has order 4, so quads whose x also
-    # has order 4 are not admissible and must be filtered out
+    # has order 4 are not admissible and must be filtered out; q = 7 adds a
+    # dia exceptional class, q = 9 an off one and the only q != p, where a
+    # residue built from p instead of q drops the wrong quads
     checked = 0
-    for F, q in ((F9, 3), (F25, 5)):
+    for F, q in ((F9, 3), (F25, 5), (F49, 7), (F81, 9)):
         for cls in all_classes(q):
-            orders = {order(quad_pair(F, cls, quad)[0])
-                      for quad in class_quads(F, cls)}
+            # the block before the filter: u = ab + lam^sigma a non-square,
+            # with ab != 0 (dia) or (a, b) != (0, 0) (off)
+            ls = oracle._lam_sigma(F, cls)
+            admissible = [(a, b, u) for a in range(F.size)
+                          for b in range(F.size)
+                          for u in [F.add(F.mul(a, b), ls)]
+                          if (a and b or cls.form == "off" and (a or b))
+                          and u and not F.is_square(u)]
+            orders = {quad: order(quad_pair(F, cls, quad)[0])
+                      for quad in admissible}
+            quads = list(class_quads(F, cls))
             if is_exceptional(cls, q):
                 assert canonical_order(cls, q) == 4
-                assert 4 not in orders
+                assert sorted(quads) == sorted(quad for quad in admissible
+                                               if orders[quad] != 4)
                 checked += 1
-            else:
-                assert 4 in orders  # the filter only bites where y forces it
-    assert checked == 2
+            else:  # the filter bites only where y forces it
+                assert sorted(quads) == sorted(admissible)
+                assert 4 in orders.values()
+    assert checked == 4
 
 
 def test_orbit_counts_match_closed_forms_small_q(orbits3, orbits5, orbits7):
