@@ -237,34 +237,24 @@ def _count_checks(q, orbits):
     return [("orbits-" + k, expected[k], summary[k]) for k in ORBIT_KEYS]
 
 
-def _oracle_compute(q, p, f):
-    """One oracle pass: partition once, build each orbit record once, fuse
-    once when f > 1, and aggregate everything from those results.  Like the
-    census, generating orbits and maps count level-f orbits only."""
+def _oracle_pass(q, p, f):
+    """One oracle pass: partition once, build each orbit record once and
+    fuse once when f > 1.  Returns the partition, its records, the maps
+    (level-f records, fused when f > 1, since like the census a map is a
+    level-f orbit up to Galois conjugacy) and the number of bundles whose
+    size is not their members' level."""
     orbits = oracle.enumerate_orbits(q)
     records = oracle.orbit_records(q, orbits)
-    generating = [r for r in records if r.level == f]
-    have = {
-        "orbits": orbits,
-        "reflexible": {form: sum(1 for r in records
-                                 if r.form == form and r.reflexible)
-                       for form in ("dia", "off")},
-        "generating": len(generating),
-        "reflexible_generating": sum(1 for r in generating if r.reflexible),
-    }
+    maps, violations = records, 0
     if f > 1:
         # a level-e orbit has e Galois images, so its bundle has e members
         level = {(r.form, r.i, r.key): r.level for r in records}
         bundles = oracle.galois_fuse(orbits, p, f)
-        have["size_violations"] = sum(
+        violations = sum(
             1 for b in bundles
             if len(b) != level[(b[0][0].form, b[0][0].i, b[0][1])])
-        records = oracle.fused_records(records, bundles)
-    maps = [r for r in records if r.level == f]
-    have["maps"] = len(maps)
-    have["reflexible_maps"] = sum(1 for r in maps if r.reflexible)
-    have["selfdual"] = oracle.selfdual_cells(maps)
-    return have
+        maps = oracle.fused_records(records, bundles)
+    return orbits, records, [r for r in maps if r.level == f], violations
 
 
 def _selfdual_checks(q, cells):
@@ -305,7 +295,7 @@ def cmd_verify(args):
     if args.level == "selfdual":   # every reference row is within the cap
         if q not in oracle.SELFDUAL_TABLE:
             raise UsageError("no embedded reference row for q=%d" % q)
-        cells = _oracle_compute(q, p, f)["selfdual"]
+        cells = oracle.selfdual_cells(_oracle_pass(q, p, f)[2])
         return _render_checks(args, label, _selfdual_checks(q, cells))
 
     _cap_enumeration(q, "orbit enumeration")
@@ -313,32 +303,33 @@ def cmd_verify(args):
         return _render_checks(args, label,
                               _count_checks(q, oracle.enumerate_orbits(q)))
 
-    have = _oracle_compute(q, p, f)
-    checks = _count_checks(q, have["orbits"])
+    orbits, records, maps, violations = _oracle_pass(q, p, f)
+    generating = [r for r in records if r.level == f]
+    checks = _count_checks(q, orbits)
 
     rcounts = census.reflexible_orbit_counts(q)
     for form in ("dia", "off"):
         checks.append(("reflexible-" + form, rcounts[form + "_total"],
-                       have["reflexible"][form]))
+                       sum(1 for r in records
+                           if r.form == form and r.reflexible)))
 
     checks.append(("generating-orbits",
-                   census.count_generating_orbits(p, f), have["generating"]))
+                   census.count_generating_orbits(p, f), len(generating)))
     if f > 1:
-        checks.append(("fusion-bundles", census.count_maps(p, f),
-                       have["maps"]))
-        checks.append(("fusion-size-violations", 0, have["size_violations"]))
+        checks.append(("fusion-bundles", census.count_maps(p, f), len(maps)))
+        checks.append(("fusion-size-violations", 0, violations))
     if odd_part(f)[1] > 1:   # a proper level exists; else these repeat above
         checks.append(("reflexible-generating-orbits",
                        census.count_reflexible_generating_orbits(p, f),
-                       have["reflexible_generating"]))
+                       sum(1 for r in generating if r.reflexible)))
         checks.append(("reflexible-maps", census.count_reflexible_maps(p, f),
-                       have["reflexible_maps"]))
+                       sum(1 for r in maps if r.reflexible)))
 
     if q in oracle.SELFDUAL_TABLE:
-        checks.extend(_selfdual_checks(q, have["selfdual"]))
+        checks.extend(_selfdual_checks(q, oracle.selfdual_cells(maps)))
 
     if q <= 5:
-        checks.extend(_closure_checks(args, q, p, f, have["orbits"]))
+        checks.extend(_closure_checks(args, q, p, f, orbits))
 
     return _render_checks(args, label, checks)
 
@@ -350,7 +341,7 @@ def cmd_selfdual(args):
     q = args.q
     p, f = _verify_q(q)
     _cap_enumeration(q, "self-duality enumeration")
-    cells = _oracle_compute(q, p, f)["selfdual"]
+    cells = oracle.selfdual_cells(_oracle_pass(q, p, f)[2])
 
     surplus = sum(cells[form][2] - cells[form][3] for form in ("dia", "off"))
     if surplus > 0:

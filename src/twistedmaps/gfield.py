@@ -13,7 +13,7 @@ sigma: x -> x^{p^f} the order-two automorphism of F over F0.
 from functools import lru_cache
 from math import gcd
 
-from .numth import factorize, is_prime
+from .numth import checked_power, factorize
 
 # p^m above this would need ~10^6+ table entries; everything in scope is far
 # smaller (census closed forms never build a field at all).
@@ -61,40 +61,24 @@ def _ppowmod(a, e, g, p):
     return r
 
 
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        # a mod b, b monic-ized on the fly
-        lead = b[-1]
-        if lead != 1:
-            li = pow(lead, p - 2, p)
-            b = [(c * li) % p for c in b]
-        while len(a) >= len(b) and a:
-            c = a[-1]
-            if c:
-                for j in range(len(b)):
-                    a[len(a) - len(b) + j] = (a[len(a) - len(b) + j] - c * b[j]) % p
-            a.pop()
-            _ptrim(a)
-        a, b = b, a
-    return a
-
-
 def _irreducible(g, p):
-    """Irreducibility of monic g over GF(p) via x^{p^k} - x gcd tests."""
+    """Irreducibility of monic g of degree m over GF(p).
+
+    x^(p^m) = x mod g makes g squarefree with every irreducible factor of
+    degree dividing m.  g is then irreducible iff, for each prime r | m,
+    h = x^(p^(m/r)) - x is prime to g, that is a unit mod g.  Modulo such a
+    g the residues form a product of fields GF(p^d) with d | m, so the
+    units are exactly the h with h^(p^m - 1) = 1 mod g."""
     m = len(g) - 1
     if m == 1:
         return True
     x = [0, 1]
-    # x^{p^m} must equal x mod g
     if _ppowmod(x, p ** m, g, p) != x:
         return False
-    for r in {r for r in range(2, m + 1) if m % r == 0 and is_prime(r)}:
-        h = _ppowmod(x, p ** (m // r), g, p)
-        # gcd(h - x, g) must be trivial
-        d = [c for c in h] + [0] * max(0, 2 - len(h))
-        d[1] = (d[1] - 1) % p
-        if len(_pgcd(_ptrim(d), g, p)) != 1:
+    for r, _ in factorize(m):
+        h = _ppowmod(x, p ** (m // r), g, p) + [0, 0]
+        h[1] = (h[1] - 1) % p
+        if _ppowmod(h, p ** m - 1, g, p) != [1]:
             return False
     return True
 
@@ -108,17 +92,15 @@ class Field:
     """
 
     def __init__(self, p, m):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
-        size = p ** m
-        if size > TABLE_LIMIT:
+        # 3^21 > TABLE_LIMIT, so for p >= 3 this is exact without building
+        # a huge p^m; checked_power then refuses any p or m out of scope
+        if p ** max(0, min(m, 21)) > TABLE_LIMIT:
             raise ResourceLimitError(f"GF({p}^{m}) exceeds the table limit {TABLE_LIMIT}")
+        self.size = checked_power(p, m)
         self.p = p
         self.m = m
-        self.size = size
         self.modulus = self._find_modulus()
+        self.xi = self._find_xi()
         self._build_tables()
 
     def _find_modulus(self):
@@ -126,36 +108,26 @@ class Field:
         # coefficient vector (c_0 + c_1 p + ...); deterministic across runs
         p, m = self.p, self.m
         for packed in range(p ** m):
-            coeffs = self._digits(packed)
+            coeffs = self.coeffs(packed)
             if _irreducible(list(coeffs) + [1], p):
                 return coeffs
         raise AssertionError("no irreducible polynomial found")  # impossible
 
-    def _digits(self, x):
-        p = self.p
-        out = []
-        for _ in range(self.m):
-            x, r = divmod(x, p)
-            out.append(r)
-        return tuple(out)
+    def _find_xi(self):
+        # first element in packed scan order generating the full unit group
+        p, n = self.p, self.size - 1
+        g = list(self.modulus) + [1]
+        return next(c for c in range(2, self.size)
+                    if all(_ppowmod(list(self.coeffs(c)), n // r, g, p) != [1]
+                           for r, _ in factorize(n)))
 
     def _build_tables(self):
-        p, m, n = self.p, self.m, self.size - 1
+        p, n, xi = self.p, self.size - 1, self.xi
         g = list(self.modulus) + [1]
 
         def packed_mul(a, b):
-            prod = _pmulmod(list(self._digits(a)), list(self._digits(b)), g, p)
+            prod = _pmulmod(list(self.coeffs(a)), list(self.coeffs(b)), g, p)
             return sum(c * p ** i for i, c in enumerate(prod))
-
-        def mult_order_is_full(x):
-            for r, _ in factorize(n):
-                if _ppowmod(list(self._digits(x)), n // r, g, p) == [1]:
-                    return False
-            return True
-
-        # first element in packed scan order generating the full unit group
-        xi = next(c for c in range(2, self.size) if mult_order_is_full(c))
-        self.xi = xi
 
         exp = [0] * n
         log = [-1] * self.size
@@ -306,7 +278,11 @@ class Field:
 
     def coeffs(self, x):
         """Coefficient vector of x, low degree first, length m."""
-        return self._digits(x)
+        out = []
+        for _ in range(self.m):
+            x, r = divmod(x, self.p)
+            out.append(r)
+        return tuple(out)
 
     def elements(self):
         return range(self.size)

@@ -9,18 +9,7 @@ from functools import lru_cache
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return n > 1
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Every module-level function and class in the package has a caller."""
+"""Every module-level function and class in the package has a caller, and
+every name a package module imports is used by that module."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,27 @@ def _uncalled(sources):
     return defined - used - set(twistedmaps.__all__)
 
 
+def _unused_imports(sources):
+    """(file, name) for each name a module of sources ({file: code})
+    imports and never reads; a name in the module's __all__ is read."""
+    out = set()
+    for path, code in sources.items():
+        tree = ast.parse(code)
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["__all__"]):
+                used |= set(ast.literal_eval(node.value))
+        out |= {(path, name) for name in imported - used}
+    return out
+
+
 def test_every_package_def_has_a_caller():
     assert _uncalled(_sources()) == NO_SRC_CALLER
 
@@ -53,3 +75,14 @@ def test_guard_flags_a_quad_helper_left_without_a_caller():
         sources["oracle.py"] += "\n\n" + stale
         name = stale[4:stale.index("(")]
         assert _uncalled(sources) == NO_SRC_CALLER | {name}
+
+
+def test_every_package_import_is_used():
+    assert _unused_imports(_sources()) == set()
+
+
+def test_guard_flags_an_import_left_without_a_use():
+    sources = _sources()
+    sources["gfield.py"] = sources["gfield.py"].replace(
+        "from .numth import ", "from .numth import is_prime, ", 1)
+    assert _unused_imports(sources) == {("gfield.py", "is_prime")}

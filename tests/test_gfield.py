@@ -1,17 +1,54 @@
 """Field layer: construction determinism, axioms, frobenius, roots, subfields."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from twistedmaps.gfield import ResourceLimitError, make_field
+from twistedmaps import gfield
+from twistedmaps.gfield import Field, ResourceLimitError, make_field
+from twistedmaps.numth import divisors, mobius
+
+# (p, m) -> (modulus, xi) of GF(q^2) for every q an enumerating command
+# accepts (q <= 27), plus GF(3^12); modulus low-to-high, leading 1 implicit
+CHOICES = {
+    (3, 2): ((1, 0), 4), (5, 2): ((2, 0), 6), (7, 2): ((1, 0), 9),
+    (3, 4): ((2, 1, 0, 0), 3), (11, 2): ((1, 0), 15),
+    (13, 2): ((2, 0), 15), (17, 2): ((3, 0), 19), (19, 2): ((1, 0), 22),
+    (23, 2): ((1, 0), 25), (5, 4): ((2, 0, 0, 0), 6),
+    (3, 6): ((2, 1, 0, 0, 0, 0), 3),
+    (3, 12): ((2, 0, 1) + (0,) * 9, 14),
+}
 
 
 def test_modulus_choices_are_the_documented_ones(F9, F25):
-    # low-to-high coefficient tuples, leading 1 implicit
     assert F9.modulus == (1, 0)      # x^2 + 1
     assert F25.modulus == (2, 0)     # x^2 + 2
     assert make_field(3, 1).modulus == (0,)  # x
+    for (p, m), choice in CHOICES.items():
+        # the choices need no tables, which take GF(3^12) about 18 s
+        F = Field.__new__(Field)
+        F.p, F.m, F.size = p, m, p ** m
+        F.modulus = F._find_modulus()
+        assert (F.modulus, F._find_xi()) == choice, (p, m)
+        if p ** m <= 3 ** 6:
+            built = make_field(p, m)
+            assert (built.modulus, built.xi) == choice
+
+
+def test_irreducible_counts_match_gauss():
+    # monic irreducibles of degree m over GF(p): (1/m) sum_{d|m} mu(d) p^(m/d)
+    for p, top in ((3, 7), (5, 4), (7, 3), (11, 2)):
+        for m in range(1, top + 1):
+            found = sum(
+                gfield._irreducible([c // p ** i % p for i in range(m)] + [1],
+                                    p)
+                for c in range(p ** m))
+            gauss = sum(mobius(d) * p ** (m // d) for d in divisors(m)) // m
+            assert found == gauss, (p, m)
 
 
 def test_primitive_element_is_first_generator_in_scan_order(F9):
@@ -165,3 +202,18 @@ def test_construction_guards():
     with pytest.raises(ResourceLimitError):
         make_field(3, 13)  # 3^13 > 2^20
     assert make_field(3, 2) is make_field(3, 2)  # cached
+
+
+def test_oversized_field_refused_without_building_its_size():
+    # run apart so that building 3^(10^8) fails on the timeout, not the suite
+    code = ("from twistedmaps.gfield import ResourceLimitError, make_field\n"
+            "try:\n"
+            "    make_field(3, 10 ** 8)\n"
+            "except ResourceLimitError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('make_field(3, 10**8) did not refuse')\n")
+    src = str(Path(gfield.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

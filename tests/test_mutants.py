@@ -78,7 +78,7 @@ def oracle_cache():
 def caught_by(monkeypatch, capsys, oracle_cache):
     """Runs the table's invocations; returns {run: exit code} of those that
     do not pass."""
-    for owner, name in ((cli, "_oracle_compute"), (oracle, "closure_order")):
+    for owner, name in ((cli, "_oracle_pass"), (oracle, "closure_order")):
         real = getattr(owner, name)
 
         # generated_level passes closure_order a cap at levels f > 2

@@ -1,0 +1,35 @@
+"""Integer helpers, the only code census and oracle share: each is checked
+against a plain definition, so a defect here cannot skew both sides alike."""
+
+from math import prod
+
+from twistedmaps.numth import divisors, factorize, is_prime, mobius
+
+
+def test_is_prime_matches_a_sieve():
+    n = 10 ** 5
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(range(d * d, n, d)))
+    assert [is_prime(k) for k in range(n)] == [bool(b) for b in sieve]
+    assert not any(is_prime(k) for k in range(-50, 2))
+
+
+def test_factorize_is_sorted_prime_and_complete():
+    for n in range(1, 10 ** 4):
+        fac = factorize(n)
+        assert prod(p ** e for p, e in fac) == n
+        assert all(is_prime(p) and e >= 1 for p, e in fac)
+        assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+
+
+def test_divisors_match_a_scan():
+    for n in range(1, 2000):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_mobius_sums_to_the_unit_over_divisors():
+    for n in range(1, 10 ** 4):
+        assert sum(mobius(d) for d in divisors(n)) == (n == 1)
