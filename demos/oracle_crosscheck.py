@@ -3,15 +3,15 @@
 Nothing here trusts the closed forms: pairs are enumerated explicitly and
 partitioned into orbits under materialized stabilizers.  An orbit is
 reflexible when the pair of inverses lands in the same orbit, which the
-orbit records test by lookup; for one pair the reversing conjugator is
-also searched out explicitly.  The numbers have to agree with the census.
+orbit records test by lookup; for one pair that lookup is also made by
+hand.  The numbers have to agree with the census.
 """
 
 from twistedmaps import (make_field, orbit_counts, reflexible_orbit_counts)
 from twistedmaps.canonical import stabilizer_size
 from twistedmaps.oracle import (closure_order, enumerate_orbits,
-                                is_reflexible, orbit_count_summary,
-                                orbit_records, quad_pair)
+                                orbit_count_summary, orbit_records, pair_key,
+                                quad_pair)
 
 q = 5
 F = make_field(5, 2)
@@ -46,11 +46,16 @@ assert tally["dia"] == rexpected["dia_total"]
 assert tally["off"] == rexpected["off_total"]
 print()
 
-# one concrete pair: reversing conjugator and full generation
+# one concrete pair: its inverted pair's orbit, and full generation
 cls = next(iter(orbits))
-pair = quad_pair(F, cls, orbits[cls][0][0])
-g = is_reflexible(pair)
-print("first orbit of", cls, "is", "reflexible" if g else "chiral")
+orbit = orbits[cls][0]
+pair = quad_pair(F, cls, orbit[0])
+inv_cls, inv_quad = pair_key(F, pair[0].inv(), pair[1].inv())
+reflexible = inv_cls == cls and inv_quad in orbit
+rec = next(r for r in records
+           if (r.form, r.i, r.key) == (cls.form, cls.i, orbit[0]))
+assert rec.reflexible == reflexible
+print("first orbit of", cls, "is", "reflexible" if reflexible else "chiral")
 print("its pair generates a subgroup of order", closure_order(pair),
       "= |M(25)|")
 assert closure_order(pair) == 15600

@@ -7,11 +7,17 @@ twisted part behave so differently from PGL.
 """
 
 from collections import Counter
+from itertools import product
 
 from twistedmaps import group_order, make_field, order
-from twistedmaps.twisted_group import TwElem, all_group_elements, in_G
+from twistedmaps.twisted_group import TwElem, in_G, mat_det
 
 F = make_field(3, 2)
+
+# every nonsingular matrix once up to scalars: first nonzero entry 1
+matrices = [(1, b, c, d) for b, c, d in product(F.elements(), repeat=3)]
+matrices += [(0, 1, c, d) for c, d in product(F.elements(), repeat=2)]
+matrices = [A for A in matrices if mat_det(F, A) != 0]
 
 print("|M(9)|     =", group_order(F, "G"))
 print("|PSL-type| =", group_order(F, "G0"))
@@ -33,7 +39,8 @@ print("square of a twisted element is A A^sigma, twist bit cleared")
 
 # every twisted element has order divisible by four; at q = 3 only 4 and 8
 # occur, split evenly
-orders = Counter(order(x) for x in all_group_elements(F, "G") if x.i == 1)
+orders = Counter(order(TwElem(F, A, 1)) for A in matrices
+                 if not F.is_square(mat_det(F, A)))
 print("orders on the twisted side of M(9):", dict(sorted(orders.items())))
 assert set(orders) == {4, 8}
 
@@ -44,5 +51,5 @@ assert scaled == x
 print("projective scaling is invisible, as it must be")
 
 # membership bookkeeping: the twist bit is forced by the determinant class
-count = sum(1 for g in all_group_elements(F, "Gbar") if in_G(g))
+count = sum(1 for A in matrices for i in (0, 1) if in_G(TwElem(F, A, i)))
 print("elements of Gbar lying in M(9):", count)

@@ -5,14 +5,11 @@ practice is 2*q^2*(q^4-1) for q <= a few hundred), so plain trial division is
 the right tool.
 """
 
-from functools import lru_cache
-
 
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> tuple:
     """Prime factorization of n >= 1 as a sorted tuple of (prime, exponent)."""
     assert n >= 1

@@ -20,7 +20,8 @@ self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
 Frobenius image.  pair_key answers all of them by naming the orbit of any
 admissible pair as (class, quad), and each stage past the partition names an
 orbit as its record does, (class, least quad).  The explicit conjugator
-searches are kept only as witness references for the tests.
+searches that witness these answers, and the whole-group enumerators, are
+test references in tests/reference.py, outside the package.
 """
 
 from dataclasses import dataclass
@@ -121,7 +122,9 @@ def class_quads(F, cls):
 
 def act_quad(F, cls, g, quad):
     """Image of a quad under conjugating its x by a stabilizer element of y:
-    the one-step reference for the walk orbit_partition makes per orbit."""
+    the one-step reference for the walk orbit_partition makes per orbit.
+    No package code calls it: the tests check the walk against it and
+    perfbench times it.  The other references are in tests/reference.py."""
     x, _ = quad_pair(F, cls, quad)
     return matrix_quad(F, cls, conjugate(x, g).matrix)
 
@@ -293,61 +296,6 @@ def closure_order(pair, cap=10 ** 6):
                         raise RuntimeError("closure exceeds cap")
         frontier = nxt
     return len(seen)
-
-
-# ---------------------------------------------------------------------------
-# test references: explicit conjugator witnesses
-
-def _search(x, y, x_to, y_to):
-    """First g in Gbar with x^g == x_to and y^g == y_to, else None.
-
-    Such a g carries y onto y_to, so the two share a canonical class; the
-    candidates are w s w^-1 v for s in the stabilizer of the class
-    representative, where w is the witness of y and v carries y onto y_to.
-    """
-    c_src, w = canonical_form(y)
-    c_dst, w_dst = canonical_form(y_to)
-    if c_src != c_dst:
-        return None
-    v = w * w_dst.inv()
-    w_inv = w.inv()
-    for s in stabilizer_elements(c_src, y.F):
-        g = w * s * w_inv * v
-        if conjugate(x, g) == x_to:
-            assert conjugate(y, g) == y_to
-            return g
-    return None
-
-
-def is_reflexible(pair):
-    """A conjugator inverting both members, or None.  Reflexible maps are
-    exactly the pairs where one exists."""
-    x, y = pair
-    return _search(x, y, x.inv(), y.inv())
-
-
-def self_duality(pair):
-    """(positive witness, negative witness), either possibly None: positive
-    swaps the two members, negative swaps and inverts them.
-
-    Swapping generators of unequal order is impossible, so that case is a
-    caller error rather than a plain no.
-    """
-    x, y = pair
-    if order(x) != order(y):
-        raise ValueError("self-duality needs generators of equal order")
-    pos = _search(x, y, y, x)
-    neg = _search(x, y, y.inv(), x.inv())
-    return pos, neg
-
-
-def brute_reflexible(pair, elements):
-    """Exhaustive-scan reference for is_reflexible; feasible only for tiny q."""
-    x, y = pair
-    for g in elements:
-        if conjugate(x, g) == x.inv() and conjugate(y, g) == y.inv():
-            return g
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -173,43 +173,3 @@ def order(x):
             o //= r
     return o
 
-
-def naive_order(x, cap=10 ** 6):
-    acc = x
-    k = 1
-    while not acc.is_identity():
-        acc = acc * x
-        k += 1
-        if k > cap:
-            raise RuntimeError("order exceeds cap")
-    return k
-
-
-def all_group_elements(F, which="G"):
-    """Iterate the chosen group exactly once per projective element.
-
-    Normalized matrices have first nonzero entry 1: either a = 1 with b, c, d
-    free, or a = 0, b = 1 with c nonzero (else singular) and d free.
-    """
-    def matrices():
-        for b in F.elements():
-            for c in F.elements():
-                for d in F.elements():
-                    A = (1, b, c, d)
-                    if mat_det(F, A) != 0:
-                        yield A
-        for c in F.units():
-            for d in F.elements():
-                yield (0, 1, c, d)
-
-    for A in matrices():
-        if which == "G":
-            yield TwElem(F, A, iota(F, A))
-        elif which == "G0":
-            if F.is_square(mat_det(F, A)):
-                yield TwElem(F, A, 0)
-        elif which == "Gbar":
-            yield TwElem(F, A, 0)
-            yield TwElem(F, A, 1)
-        else:
-            raise ValueError(which)

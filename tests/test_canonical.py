@@ -9,6 +9,8 @@ from twistedmaps import canonical as cn
 from twistedmaps import twisted_group as tg
 from twistedmaps.gfield import make_field
 
+from reference import all_group_elements, naive_order
+
 
 def _random_twisted(F, rng):
     while True:
@@ -55,13 +57,13 @@ def test_representative_orders_match_formula():
         F = make_field(p, 2 * f)
         for c in cn.all_classes(q):
             rep = cn.canonical_rep(c, F)
-            assert tg.naive_order(rep) == cn.canonical_order(c, q)
+            assert naive_order(rep) == cn.canonical_order(c, q)
             assert cn.canonical_order(c, q) % 4 == 0
 
 
 def test_canonical_form_partitions_twisted_coset_q3(F9):
     tally = Counter()
-    for x in tg.all_group_elements(F9, "G"):
+    for x in all_group_elements(F9, "G"):
         if x.i == 1:
             c, _ = cn.canonical_form(x)
             tally[c] += 1
@@ -70,7 +72,7 @@ def test_canonical_form_partitions_twisted_coset_q3(F9):
 
 def test_canonical_form_partitions_twisted_coset_q5(F25):
     tally = Counter()
-    for x in tg.all_group_elements(F25, "G"):
+    for x in all_group_elements(F25, "G"):
         if x.i == 1:
             c, _ = cn.canonical_form(x)
             tally[c] += 1
@@ -111,7 +113,7 @@ def test_stabilizer_elements_fix_representative():
 def test_stabilizer_exhaustive_scan_q3(F9):
     for c in cn.all_classes(3):
         rep = cn.canonical_rep(c, F9)
-        brute = {g for g in tg.all_group_elements(F9, "Gbar")
+        brute = {g for g in all_group_elements(F9, "Gbar")
                  if tg.conjugate(rep, g) == rep}
         assert brute == set(cn.stabilizer_elements(c, F9))
 
@@ -119,7 +121,7 @@ def test_stabilizer_exhaustive_scan_q3(F9):
 def test_stabilizer_exhaustive_scan_q5(F25):
     for c in cn.all_classes(5):
         rep = cn.canonical_rep(c, F25)
-        brute = {g for g in tg.all_group_elements(F25, "Gbar")
+        brute = {g for g in all_group_elements(F25, "Gbar")
                  if tg.conjugate(rep, g) == rep}
         assert brute == set(cn.stabilizer_elements(c, F25))
 
@@ -154,10 +156,10 @@ def test_distinct_eigenvalue_dichotomy_sampled():
 def test_twisted_conjugate_test_full_q3(F9):
     # x and y are Gbar-conjugate exactly when they share a canonical class,
     # and then the two witnesses compose into a conjugator
-    everything = list(tg.all_group_elements(F9, "Gbar"))
+    everything = list(all_group_elements(F9, "Gbar"))
     gbar_class = {c: {tg.conjugate(cn.canonical_rep(c, F9), g)
                       for g in everything} for c in cn.all_classes(3)}
-    twisted = [x for x in tg.all_group_elements(F9, "G") if x.i == 1]
+    twisted = [x for x in all_group_elements(F9, "G") if x.i == 1]
     rng = random.Random(77)
     for _ in range(400):
         x, y = rng.choice(twisted), rng.choice(twisted)

@@ -1,5 +1,6 @@
 """Every module-level function and class in the package has a caller, and
-every name a package module imports is used by that module."""
+every name a package module imports is used by that module.  The test
+references live in tests/reference.py and nowhere in the package."""
 
 import ast
 from pathlib import Path
@@ -7,15 +8,49 @@ from pathlib import Path
 import twistedmaps
 
 SRC = Path(twistedmaps.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
-# test and demo references that live in the package until they move out
-NO_SRC_CALLER = {"act_quad", "brute_reflexible", "is_reflexible",
-                 "self_duality", "all_group_elements", "naive_order"}
+# no package code calls act_quad; perfbench's oracle.act_quad_us probe
+# reads it, so it stays in the package for as long as that probe does
+NO_SRC_CALLER = {"act_quad"}
 
 
-def _sources():
+def _sources(root=SRC):
     return {path.name: path.read_text(encoding="utf-8")
-            for path in sorted(SRC.glob("*.py"))}
+            for path in sorted(root.glob("*.py"))}
+
+
+def _defs(code):
+    """Names of the module-level functions and classes in code."""
+    return {node.name for node in ast.parse(code).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def _forked(sources, reference):
+    """Module-level defs of the reference code that sources ({file: code})
+    also define."""
+    return _defs(reference) & set().union(*map(_defs, sources.values()))
+
+
+def _imported_modules(code):
+    """Top-level names of the modules that code imports from."""
+    out = set()
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def _oracle_reads(sources):
+    """Attribute names that sources ({file: code}) read as oracle.<name>."""
+    return {n.attr for code in sources.values()
+            for n in ast.walk(ast.parse(code))
+            if isinstance(n, ast.Attribute)
+            and isinstance(n.value, ast.Name) and n.value.id == "oracle"}
 
 
 def _uncalled(sources):
@@ -75,6 +110,26 @@ def test_guard_flags_a_quad_helper_left_without_a_caller():
         sources["oracle.py"] += "\n\n" + stale
         name = stale[4:stale.index("(")]
         assert _uncalled(sources) == NO_SRC_CALLER | {name}
+
+
+def test_each_allowlisted_name_is_read_by_perfbench():
+    assert NO_SRC_CALLER <= _oracle_reads(_sources(PERFBENCH))
+
+
+def test_no_test_reference_is_forked_into_the_package():
+    reference = (TESTS / "reference.py").read_text(encoding="utf-8")
+    sources = _sources()
+    assert _defs(reference) and _forked(sources, reference) == set()
+    for code in sources.values():
+        assert not _imported_modules(code) & {"reference", "tests"}
+
+
+def test_guard_flags_a_reference_copied_back_into_the_package():
+    reference = (TESTS / "reference.py").read_text(encoding="utf-8")
+    sources = _sources()
+    sources["twisted_group.py"] += ("\n\ndef naive_order(x, cap=10 ** 6):\n"
+                                    "    return cap\n")
+    assert _forked(sources, reference) == {"naive_order"}
 
 
 def test_every_package_import_is_used():

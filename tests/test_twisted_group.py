@@ -7,27 +7,29 @@ import pytest
 from twistedmaps import twisted_group as tg
 from twistedmaps.gfield import make_field
 
+from reference import all_group_elements, naive_order
+
 
 def test_group_sizes_q3(F9):
-    assert sum(1 for _ in tg.all_group_elements(F9, "G")) == 720
-    assert sum(1 for _ in tg.all_group_elements(F9, "G0")) == 360
-    assert sum(1 for _ in tg.all_group_elements(F9, "Gbar")) == 1440
+    assert sum(1 for _ in all_group_elements(F9, "G")) == 720
+    assert sum(1 for _ in all_group_elements(F9, "G0")) == 360
+    assert sum(1 for _ in all_group_elements(F9, "Gbar")) == 1440
 
 
 def test_group_size_q5(F25):
-    assert sum(1 for _ in tg.all_group_elements(F25, "G")) == 15600
+    assert sum(1 for _ in all_group_elements(F25, "G")) == 15600
 
 
 def test_elements_distinct_and_in_claimed_group(F9):
-    els = list(tg.all_group_elements(F9, "G"))
+    els = list(all_group_elements(F9, "G"))
     assert len(set(els)) == len(els)
     assert all(tg.in_G(x) for x in els)
     assert all(x.i == 0 and F9.is_square(tg.mat_det(F9, x.matrix))
-               for x in tg.all_group_elements(F9, "G0"))
+               for x in all_group_elements(F9, "G0"))
 
 
 def test_twisted_group_closed_under_product(F9):
-    els = list(tg.all_group_elements(F9, "G"))
+    els = list(all_group_elements(F9, "G"))
     rng = random.Random(3)
     for _ in range(1000):
         x, y = rng.choice(els), rng.choice(els)
@@ -37,7 +39,7 @@ def test_twisted_group_closed_under_product(F9):
 
 def test_associativity_and_inverses_sampled(F25):
     els = []
-    it = tg.all_group_elements(F25, "Gbar")
+    it = all_group_elements(F25, "Gbar")
     rng = random.Random(4)
     for x in it:
         if rng.random() < 0.02:
@@ -56,7 +58,7 @@ def test_associativity_and_inverses_sampled(F25):
 
 def test_twisted_square_is_a_times_sigma_a(F9):
     rng = random.Random(5)
-    els = [x for x in tg.all_group_elements(F9, "Gbar") if x.i == 1]
+    els = [x for x in all_group_elements(F9, "Gbar") if x.i == 1]
     for _ in range(200):
         x = rng.choice(els)
         M = tg.mat_mul(F9, x.matrix, tg.mat_frob(F9, x.matrix, 1))
@@ -86,15 +88,15 @@ def test_singular_and_zero_matrices_rejected(F9):
 
 
 def test_order_matches_naive_everywhere_q3(F9):
-    for x in tg.all_group_elements(F9, "G"):
-        assert tg.order(x) == tg.naive_order(x)
+    for x in all_group_elements(F9, "G"):
+        assert tg.order(x) == naive_order(x)
 
 
 def test_order_matches_naive_sampled_q5(F25):
     rng = random.Random(6)
-    pool = [x for x in tg.all_group_elements(F25, "G") if rng.random() < 0.03]
+    pool = [x for x in all_group_elements(F25, "G") if rng.random() < 0.03]
     for x in pool:
-        assert tg.order(x) == tg.naive_order(x)
+        assert tg.order(x) == naive_order(x)
 
 
 def test_twisted_order_from_eigenvalues_matches_naive(F9, F25):
@@ -102,14 +104,14 @@ def test_twisted_order_from_eigenvalues_matches_naive(F9, F25):
     # repeated root of A A^sigma, which take exponent descent) and of G at
     # q = 5
     for F, which in ((F9, "Gbar"), (F25, "G")):
-        for x in tg.all_group_elements(F, which):
+        for x in all_group_elements(F, which):
             if x.i == 1:
-                assert tg.order(x) == tg.naive_order(x)
+                assert tg.order(x) == naive_order(x)
 
 
 def test_twisted_element_orders_divisible_by_four_q3(F9):
     # exhaustive over the 360 twisted elements of M(9)
-    for x in tg.all_group_elements(F9, "G"):
+    for x in all_group_elements(F9, "G"):
         if x.i == 1:
             assert tg.order(x) % 4 == 0
 
@@ -133,7 +135,7 @@ def test_twisted_element_orders_divisible_by_four_sampled():
 def test_sigma_conjugation_is_entrywise_frobenius(F9):
     s = tg.TwElem(F9, (1, 0, 0, 1), 1)  # [I, 1]
     rng = random.Random(8)
-    els = list(tg.all_group_elements(F9, "G"))
+    els = list(all_group_elements(F9, "G"))
     for _ in range(100):
         x = rng.choice(els)
         assert tg.conjugate(x, s) == tg.TwElem(F9, tg.mat_frob(F9, x.matrix, 1), x.i)
@@ -141,7 +143,7 @@ def test_sigma_conjugation_is_entrywise_frobenius(F9):
 
 def test_power_consistency(F9):
     rng = random.Random(9)
-    els = list(tg.all_group_elements(F9, "Gbar"))
+    els = list(all_group_elements(F9, "Gbar"))
     for _ in range(50):
         x = rng.choice(els)
         acc = tg.identity(F9)
