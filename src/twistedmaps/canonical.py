@@ -24,7 +24,7 @@ from .twisted_group import (TwElem, char_roots, conjugate, in_G, mat_frob,
                             mat_inv, mat_mul)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class CanonClass:
     form: str  # "dia" or "off"
     i: int

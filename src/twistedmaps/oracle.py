@@ -19,12 +19,14 @@ in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
 self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
 Frobenius image.  pair_key answers all of them by naming the orbit of any
 admissible pair as (class, quad), and each stage past the partition names an
-orbit as its record does, (class, least quad).  The explicit conjugator
+orbit as its record does, (class, least quad).  orbit_walker is the one walk
+of an orbit: the partition runs it from each unseen quad, fusion from each
+Frobenius image to name its orbit.  The explicit conjugator
 searches that witness these answers, and the whole-group enumerators, are
 test references in tests/reference.py, outside the package.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .canonical import (all_classes, canonical_form, canonical_rep,
                         is_exceptional, stabilizer_elements)
@@ -122,9 +124,8 @@ def class_quads(F, cls):
 
 def act_quad(F, cls, g, quad):
     """Image of a quad under conjugating its x by a stabilizer element of y:
-    the one-step reference for the walk orbit_partition makes per orbit.
-    No package code calls it: the tests check the walk against it and
-    perfbench times it.  The other references are in tests/reference.py."""
+    the one-step reference for orbit_walker, which tests check against it
+    and perfbench times.  The other references are in tests/reference.py."""
     x, _ = quad_pair(F, cls, quad)
     return matrix_quad(F, cls, conjugate(x, g).matrix)
 
@@ -133,7 +134,7 @@ def _stabilizer_moves(F, cls):
     """Each stabilizer element g = [D, j] as a raw-matrix move (L, R, j):
     conjugate([A, 1], g) = g^-1 [A, 1] g = [L A^(sigma^j) R, 1] with
     L = (D^(sigma^j))^-1 and R = D^(sigma^(j+1)).  D is diagonal or
-    antidiagonal, so L and R are too; orbit_partition relies on it."""
+    antidiagonal, so L and R are too; orbit_walker relies on it."""
     f = F.m // 2
     moves = []
     for g in stabilizer_elements(cls, F):
@@ -161,28 +162,21 @@ def _log_move(F, cls, L, R, j):
     return (j, *entries, *((u - units[0] + half) % n for u in units[1:]))
 
 
-def orbit_partition(F, cls):
-    """Partition of the class block into sorted stabilizer orbits, walking
-    each once on discrete logs.  Every move is monomial, so each entry of
-    L A^(sigma^j) R is one entry of A^(sigma^j) times a known unit: per
-    orbit the logs of A's entries are taken once (sigma multiplies a log by
-    q), and per member first and second are one exp lookup each and u one
-    Zech lookup.  The checks of matrix_quad are kept as asserts (nonzero
-    corner, involution shape, u a non-square), and semiregularity (orbit
-    length == stabilizer size) is asserted for every orbit.  act_quad is
-    the one-step TwElem reference."""
+def orbit_walker(F, cls):
+    """walk(quad): the set of quads in quad's stabilizer orbit, walked on
+    discrete logs.  The class's moves are put in log form once; they are
+    monomial, so per walk the logs of A's entries are taken once (sigma
+    multiplies a log by q), and per member first and second are one exp
+    lookup each and u one Zech lookup.  Each walk keeps matrix_quad's checks
+    as asserts, and asserts semiregularity and that quad is a member."""
     moves = [_log_move(F, cls, *move) for move in _stabilizer_moves(F, cls)]
     n = F.size - 1
     q = F.p ** (F.m // 2)
     exp, log, zech = F.exp, F.log, F.zech
-    ls = _lam_sigma(F, cls)
-    lls = log[ls]
+    lls = log[_lam_sigma(F, cls)]
     corner = "%s-shaped partner has nonzero corner" % cls.form
-    seen = set()
-    orbits = []
-    for quad in class_quads(F, cls):
-        if quad in seen:
-            continue
+
+    def walk(quad):
         la = [log[a] for a in quad_matrix(F, cls, quad)]  # -1 marks a zero
         twists = (la, [a * q % n if a >= 0 else -1 for a in la])
         orbit = set()
@@ -206,8 +200,21 @@ def orbit_partition(F, cls):
             orbit.add((first, second, exp[lu]))
         assert len(orbit) == len(moves), "stabilizer action must be semiregular"
         assert quad in orbit
-        seen.update(orbit)
-        orbits.append(sorted(orbit))
+        return orbit
+
+    return walk
+
+
+def orbit_partition(F, cls):
+    """The class block partitioned into sorted stabilizer orbits."""
+    walk = orbit_walker(F, cls)
+    seen = set()
+    orbits = []
+    for quad in class_quads(F, cls):
+        if quad not in seen:
+            orbit = walk(quad)
+            seen.update(orbit)
+            orbits.append(sorted(orbit))
     return orbits
 
 
@@ -316,14 +323,14 @@ def galois_fuse(orbits, p, f):
 
     The Galois group is cyclic, generated by the p-power Frobenius phi, and
     phi^f is conjugation by [I, 1], which fixes every orbit.  So a bundle is
-    the Frobenius image set of its first orbit, named through a per-class
-    dict from quad to key and asserted disjoint from the bundles before it.
+    the Frobenius image set of its first orbit, each image named by the
+    least quad of its walked orbit, and asserted disjoint from the bundles
+    before it; only the least quad orbit[0] of each given orbit is read.
     Orbits of pairs generating the full group fall into bundles of size
     exactly f; orbits conjugate into proper subfield subgroups may fuse less.
     """
     F = make_field(p, 2 * f)
-    key_of = {cls: {quad: orbit[0] for orbit in cls_orbits for quad in orbit}
-              for cls, cls_orbits in orbits.items()}
+    walks = {cls: orbit_walker(F, cls) for cls in orbits}
     placed = set()
     bundles = []
     for cls, cls_orbits in orbits.items():
@@ -333,17 +340,11 @@ def galois_fuse(orbits, p, f):
             pair = quad_pair(F, cls, orbit[0])
             images = (pair_key(F, *_phi_pair(pair, j)) for j in range(1, f))
             bundle = {(cls, orbit[0])}
-            bundle.update((c, key_of[c][quad]) for c, quad in images)
+            bundle.update((c, min(walks[c](quad))) for c, quad in images)
             assert placed.isdisjoint(bundle), "Frobenius images must be closed"
             placed |= bundle
             bundles.append(bundle)
-
-    def member_key(t):
-        return (t[0].form, t[0].i, t[1])
-
-    out = [sorted(b, key=member_key) for b in bundles]
-    out.sort(key=lambda b: [member_key(t) for t in b])
-    return out
+    return sorted(sorted(b) for b in bundles)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +364,7 @@ SELFDUAL_TABLE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class OrbitRec:
     """One pair orbit: canonical key (minimal quad), bookkeeping, flags."""
     form: str
@@ -407,7 +408,7 @@ def orbit_records(q, orbits):
     orders = {cls: order(canonical_rep(cls, F)) for cls in all_classes(q)}
     recs = [_record_for(F, cls, orbit, orders)
             for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
-    recs.sort(key=lambda r: (r.form, r.i, r.key))
+    recs.sort()
     return recs
 
 
@@ -425,14 +426,8 @@ def fused_records(records, bundles):
                     m.neg_selfdual) == (head.form, head.k, head.l, head.level,
                                         head.reflexible, head.pos_selfdual,
                                         head.neg_selfdual), "bundle flags differ"
-        least = min(members, key=lambda m: (m.i, m.key))
-        out.append(OrbitRec(
-            form=head.form, i=least.i, key=least.key,
-            size=sum(m.size for m in members), level=head.level,
-            k=head.k, l=head.l, reflexible=head.reflexible,
-            pos_selfdual=head.pos_selfdual, neg_selfdual=head.neg_selfdual,
-        ))
-    out.sort(key=lambda r: (r.form, r.i, r.key))
+        out.append(replace(min(members), size=sum(m.size for m in members)))
+    out.sort()
     return out
 
 

@@ -212,17 +212,24 @@ def test_orbits_cover_every_quad_once(F25, orbits5):
 
 def test_act_quad_keeps_each_orbit(F9, F25, F49, F81, orbits3, orbits5,
                                   orbits7, orbits9):
-    # act_quad is the TwElem one-step reference for the partition's
-    # log-domain walk: its images of each first quad are the whole orbit;
-    # q = 11 adds a dia exceptional class
-    for F, orbits in ((F9, orbits3), (F25, orbits5), (F49, orbits7),
-                      (F81, orbits9),
-                      (make_field(11, 2), enumerate_orbits(11))):
+    # act_quad is the TwElem one-step reference for orbit_walker: its
+    # images of each first quad are the whole orbit, and a walk started at
+    # any member, as fusion starts one at a Frobenius image, is that
+    # member's image set; every member at q <= 7, one seeded member per
+    # orbit at q = 9 and 11, where q = 11 adds a dia exceptional class
+    rng = random.Random(11)
+    for F, orbits, every in ((F9, orbits3, True), (F25, orbits5, True),
+                             (F49, orbits7, True), (F81, orbits9, False),
+                             (make_field(11, 2), enumerate_orbits(11), False)):
         for cls, cls_orbits in orbits.items():
             stab = stabilizer_elements(cls, F)
+            walk = oracle.orbit_walker(F, cls)
             for orbit in cls_orbits:
                 assert set(orbit) == {act_quad(F, cls, g, orbit[0])
                                       for g in stab}
+                for quad in orbit if every else [rng.choice(orbit)]:
+                    assert walk(quad) == {act_quad(F, cls, g, quad)
+                                          for g in stab}
 
 
 def test_partition_walk_rejects_a_move_outside_the_stabilizer(F25,
@@ -437,6 +444,14 @@ def test_generic_pair_at_q27_sits_at_level_three():
     assert generated_level(pair) == 3
 
 
+def test_fusion_reads_only_orbit_heads(orbits9):
+    # fusion names each Frobenius image by walking it, not through an index
+    # of every partitioned quad, so orbits cut to their least quad suffice
+    heads = {cls: [orbit[:1] for orbit in cls_orbits]
+             for cls, cls_orbits in orbits9.items()}
+    assert galois_fuse(heads, 3, 2) == galois_fuse(orbits9, 3, 2)
+
+
 def test_galois_fusion_at_q9(orbits9, records9):
     bundles = galois_fuse(orbits9, 3, 2)
     assert len(bundles) == 395
@@ -479,7 +494,7 @@ def test_fusion_bundles_name_orbits_by_record_key(F81, orbits9, records9):
 
 
 @pytest.mark.stretch
-def test_fusion_at_q27_stays_below_600_mb():
+def test_fusion_at_q27_stays_below_400_mb():
     # partition plus fusion in a fresh process, so ru_maxrss is theirs
     code = textwrap.dedent("""
         import json, resource
@@ -498,7 +513,7 @@ def test_fusion_at_q27_stays_below_600_mb():
     got = json.loads(proc.stdout)
     assert got["sizes"] == [[1, 7], [3, 22050]]
     assert count_maps(3, 3) == 22050
-    assert got["maxrss_kb"] < 600 * 1024, got["maxrss_kb"]
+    assert got["maxrss_kb"] < 400 * 1024, got["maxrss_kb"]
 
 
 def test_fusion_is_trivial_at_prime_q(orbits3):
