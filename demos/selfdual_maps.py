@@ -13,11 +13,10 @@ from twistedmaps.oracle import SELFDUAL_TABLE
 # records and fused records, built once per q
 built = {}
 for q, (p, f) in ((3, (3, 1)), (5, (5, 1)), (7, (7, 1)), (9, (3, 2))):
-    orbits = enumerate_orbits(q)
-    plain = orbit_records(q, orbits)
+    plain = orbit_records(q, enumerate_orbits(q))
     fused = plain
     if f > 1:
-        fused = fused_records(plain, galois_fuse(orbits, p, f))
+        fused = fused_records(galois_fuse(plain, p, f))
     built[q] = plain, [r for r in fused if r.level == f]
 
 print("%4s %5s %8s %8s %8s %8s" % ("q", "form", "k=l", "pos", "neg", "both"))

@@ -248,12 +248,9 @@ def _oracle_pass(q, p, f):
     maps, violations = records, 0
     if f > 1:
         # a level-e orbit has e Galois images, so its bundle has e members
-        level = {(r.form, r.i, r.key): r.level for r in records}
-        bundles = oracle.galois_fuse(orbits, p, f)
-        violations = sum(
-            1 for b in bundles
-            if len(b) != level[(b[0][0].form, b[0][0].i, b[0][1])])
-        maps = oracle.fused_records(records, bundles)
+        bundles = oracle.galois_fuse(records, p, f)
+        violations = sum(1 for b in bundles if len(b) != b[0].level)
+        maps = oracle.fused_records(bundles)
     return orbits, records, [r for r in maps if r.level == f], violations
 
 
@@ -385,11 +382,9 @@ def cmd_orbits(args):
     p, f = _verify_q(q)
     _cap_enumeration(q, "orbit listing")
     kl = _parse_type(args.type) if args.type else None
-    orbits = oracle.enumerate_orbits(q)
-    records = oracle.orbit_records(q, orbits)
+    records = oracle.orbit_records(q, oracle.enumerate_orbits(q))
     if args.fuse and f > 1:
-        records = oracle.fused_records(records,
-                                       oracle.galois_fuse(orbits, p, f))
+        records = oracle.fused_records(oracle.galois_fuse(records, p, f))
     if kl:
         records = [r for r in records if (r.k, r.l) == kl]
 

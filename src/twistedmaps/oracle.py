@@ -18,18 +18,19 @@ A map is an orbit, so every per-map question is whether some image pair lies
 in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
 self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
 Frobenius image.  pair_key answers all of them by naming the orbit of any
-admissible pair as (class, quad), and each stage past the partition names an
-orbit as its record does, (class, least quad).  orbit_walker is the one walk
-of an orbit: the partition runs it from each unseen quad, fusion from each
-Frobenius image to name its orbit.  The explicit conjugator
-searches that witness these answers, and the whole-group enumerators, are
-test references in tests/reference.py, outside the package.
+admissible pair as (class, quad).  Only the records read an orbit's member
+list; Galois fusion bundles the records, naming each Frobenius image as a
+record is named, (class, least quad).  orbit_walker is the one walk of an
+orbit: the partition runs it from each unseen quad, fusion from each
+Frobenius image.  The explicit conjugator searches that witness these
+answers, and the whole-group enumerators, are test references in
+tests/reference.py, outside the package.
 """
 
 from dataclasses import dataclass, replace
 
-from .canonical import (all_classes, canonical_form, canonical_rep,
-                        is_exceptional, stabilizer_elements)
+from .canonical import (CanonClass, all_classes, canonical_form,
+                        canonical_rep, is_exceptional, stabilizer_elements)
 from .gfield import make_field
 from .numth import divisors, odd_part, odd_prime_power
 from .twisted_group import (TwElem, conjugate, identity, mat_frob, mat_inv,
@@ -130,26 +131,19 @@ def act_quad(F, cls, g, quad):
     return matrix_quad(F, cls, conjugate(x, g).matrix)
 
 
-def _stabilizer_moves(F, cls):
-    """Each stabilizer element g = [D, j] as a raw-matrix move (L, R, j):
+def _log_move(F, cls, g):
+    """A stabilizer element g = [D, j] as a move in log form (j, corner,
+    first, second, shape, then three offsets).
+
     conjugate([A, 1], g) = g^-1 [A, 1] g = [L A^(sigma^j) R, 1] with
     L = (D^(sigma^j))^-1 and R = D^(sigma^(j+1)).  D is diagonal or
-    antidiagonal, so L and R are too; orbit_walker relies on it."""
-    f = F.m // 2
-    moves = []
-    for g in stabilizer_elements(cls, F):
-        D = (g.matrix, mat_frob(F, g.matrix, f))  # D^(sigma^0), D^(sigma^1)
-        moves.append((mat_inv(F, D[g.i]), D[1 - g.i], g.i))
-    return moves
-
-
-def _log_move(F, cls, L, R, j):
-    """A move (L, R, j) in log form (j, corner, first, second, shape, then
-    three offsets).  With L and R monomial, entry (r, c) of L X R is
+    antidiagonal, so L and R are too, and entry (r, c) of L X R is
     X[r ^ tL][c ^ tR] times a unit, tL and tR being 1 for antidiagonal.
     corner ... shape are the positions in X that land in those slots; the
     offsets are the logs of the units by which first, second and shape are
     scaled once the whole matrix is scaled by -1/corner."""
+    D = (g.matrix, mat_frob(F, g.matrix, F.m // 2))  # D^(sigma^0), D^sigma
+    L, R = mat_inv(F, D[g.i]), D[1 - g.i]
     tL, tR = (0 if M[0] else 1 for M in (L, R))
     assert all(M[1 - t] == M[2 + t] == 0 for M, t in ((L, tL), (R, tR))), \
         "stabilizer moves must be monomial"
@@ -159,25 +153,30 @@ def _log_move(F, cls, L, R, j):
         entries.append(2 * (r ^ tL) + (c ^ tR))
         units.append(F.dlog(L[2 * r + (r ^ tL)]) + F.dlog(R[2 * (c ^ tR) + c]))
     n, half = F.size - 1, F.dlog(F.neg(1))
-    return (j, *entries, *((u - units[0] + half) % n for u in units[1:]))
+    return (g.i, *entries, *((u - units[0] + half) % n for u in units[1:]))
 
 
 def orbit_walker(F, cls):
     """walk(quad): the set of quads in quad's stabilizer orbit, walked on
     discrete logs.  The class's moves are put in log form once; they are
-    monomial, so per walk the logs of A's entries are taken once (sigma
-    multiplies a log by q), and per member first and second are one exp
-    lookup each and u one Zech lookup.  Each walk keeps matrix_quad's checks
-    as asserts, and asserts semiregularity and that quad is a member."""
-    moves = [_log_move(F, cls, *move) for move in _stabilizer_moves(F, cls)]
+    monomial, so per walk the logs of A's entries are read off the quad
+    (sigma multiplies a log by q), and per member first and second are one
+    exp lookup each and u one Zech lookup.  Each walk keeps matrix_quad's
+    checks as asserts, and asserts semiregularity and that quad is a
+    member, which the identity move makes fail unless u is
+    first*second + lam^sigma."""
+    moves = [_log_move(F, cls, g) for g in stabilizer_elements(cls, F)]
     n = F.size - 1
     q = F.p ** (F.m // 2)
     exp, log, zech = F.exp, F.log, F.zech
     lls = log[_lam_sigma(F, cls)]
+    slots, half = _SLOTS[cls.form], log[F.neg(1)]
     corner = "%s-shaped partner has nonzero corner" % cls.form
 
     def walk(quad):
-        la = [log[a] for a in quad_matrix(F, cls, quad)]  # -1 marks a zero
+        la = [0] * 4  # log[0] is -1, which marks a zero entry
+        for pos, a in zip(slots, (half, log[quad[0]], log[quad[1]], lls)):
+            la[pos] = a
         twists = (la, [a * q % n if a >= 0 else -1 for a in la])
         orbit = set()
         for j, ic, i1, i2, ish, o1, o2, osh in moves:
@@ -306,45 +305,38 @@ def closure_order(pair, cap=10 ** 6):
 
 
 # ---------------------------------------------------------------------------
-# Galois fusion of orbits into map classes
+# Galois fusion of records into map classes
 
-def _phi_pair(pair, j):
-    """Entrywise p^j-power Frobenius applied to both members."""
-    x, y = pair
-    F = x.F
-    return (TwElem(F, mat_frob(F, x.matrix, j), x.i),
-            TwElem(F, mat_frob(F, y.matrix, j), y.i))
-
-
-def galois_fuse(orbits, p, f):
-    """Group per-class orbits into bundles identified under the entrywise
-    Frobenius action; returns a list of bundles of (class, key), key being
-    an orbit's least quad as in its OrbitRec.
+def galois_fuse(records, p, f):
+    """Bundle the records of one q under the entrywise Frobenius action;
+    returns the bundles as sorted lists of records.
 
     The Galois group is cyclic, generated by the p-power Frobenius phi, and
     phi^f is conjugation by [I, 1], which fixes every orbit.  So a bundle is
-    the Frobenius image set of its first orbit, each image named by the
-    least quad of its walked orbit, and asserted disjoint from the bundles
-    before it; only the least quad orbit[0] of each given orbit is read.
-    Orbits of pairs generating the full group fall into bundles of size
-    exactly f; orbits conjugate into proper subfield subgroups may fuse less.
+    the Frobenius image set of its first record's pair, each image named
+    like a record, (class, least quad of its walked orbit), and asserted
+    disjoint from the bundles before it.  Orbits of pairs generating the
+    full group fall into bundles of size exactly f; orbits conjugate into
+    proper subfield subgroups may fuse less.
     """
     F = make_field(p, 2 * f)
-    walks = {cls: orbit_walker(F, cls) for cls in orbits}
+    named = {(CanonClass(r.form, r.i), r.key): r for r in records}
+    walks = {cls: orbit_walker(F, cls) for cls in {c for c, _ in named}}
     placed = set()
     bundles = []
-    for cls, cls_orbits in orbits.items():
-        for orbit in cls_orbits:
-            if (cls, orbit[0]) in placed:
-                continue
-            pair = quad_pair(F, cls, orbit[0])
-            images = (pair_key(F, *_phi_pair(pair, j)) for j in range(1, f))
-            bundle = {(cls, orbit[0])}
-            bundle.update((c, min(walks[c](quad))) for c, quad in images)
-            assert placed.isdisjoint(bundle), "Frobenius images must be closed"
-            placed |= bundle
-            bundles.append(bundle)
-    return sorted(sorted(b) for b in bundles)
+    for (cls, key), rec in named.items():
+        if rec in placed:
+            continue
+        x, y = quad_pair(F, cls, key)  # both twisted
+        images = (pair_key(F, TwElem(F, mat_frob(F, x.matrix, j), 1),
+                           TwElem(F, mat_frob(F, y.matrix, j), 1))
+                  for j in range(1, f))
+        bundle = {rec}
+        bundle.update(named[c, min(walks[c](quad))] for c, quad in images)
+        assert placed.isdisjoint(bundle), "Frobenius images must be closed"
+        placed |= bundle
+        bundles.append(sorted(bundle))
+    return sorted(bundles)
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +404,19 @@ def orbit_records(q, orbits):
     return recs
 
 
-def fused_records(records, bundles):
-    """One aggregated record per Galois bundle of (class, key) members, each
-    the key of one of the records given; flags and type must agree across
-    the bundle and are asserted to."""
-    by_key = {(r.form, r.i, r.key): r for r in records}
+def fused_records(bundles):
+    """One aggregated record per Galois bundle: its head, the least member,
+    carrying the bundle's total size.  Flags and type must agree across the
+    bundle and are asserted to."""
     out = []
     for bundle in bundles:
-        members = [by_key[(cls.form, cls.i, key)] for cls, key in bundle]
-        head = members[0]
-        for m in members[1:]:
+        head = bundle[0]
+        for m in bundle[1:]:
             assert (m.form, m.k, m.l, m.level, m.reflexible, m.pos_selfdual,
                     m.neg_selfdual) == (head.form, head.k, head.l, head.level,
                                         head.reflexible, head.pos_selfdual,
                                         head.neg_selfdual), "bundle flags differ"
-        out.append(replace(min(members), size=sum(m.size for m in members)))
-    out.sort()
+        out.append(replace(head, size=sum(m.size for m in bundle)))
     return out
 
 

@@ -93,7 +93,7 @@ def test_criterion_04_q9_fusion():
     total = sum(len(v) for v in orbits.values())
     if total != 790:
         bad.append("%d orbits" % total)
-    bundles = galois_fuse(orbits, 3, 2)
+    bundles = galois_fuse(orbit_records(9, orbits), 3, 2)
     if len(bundles) != 395 or len(bundles) != census.count_maps(3, 2):
         bad.append("%d bundles" % len(bundles))
     if any(len(b) != 2 for b in bundles):
@@ -108,7 +108,7 @@ def _map_records(q, orbits, records=None):
     if records is None:
         records = orbit_records(q, orbits)
     if f > 1:
-        records = fused_records(records, galois_fuse(orbits, p, f))
+        records = fused_records(galois_fuse(records, p, f))
     return [r for r in records if r.level == f]
 
 

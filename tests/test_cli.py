@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import venv
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,35 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
                      "_record_for": 7, "galois_fuse": 0}
 
 
+def test_fusion_size_violations_are_counted(capsys, monkeypatch):
+    # at q=9 every orbit generates (level 2) and every bundle has two
+    # members; records that claim level 1 make each bundle one too large
+    monkeypatch.setattr(oracle, "generated_level", lambda pair: 1)
+    code, out, _ = run(capsys, ["verify", "--q", "9", "--level",
+                                "bruteforce"])
+    assert code == 1
+    assert "FAIL fusion-size-violations  expected 0  actual 395\n" in out
+
+
+def test_bundle_with_differing_flags_is_an_internal_failure(capsys,
+                                                            monkeypatch):
+    flipped = []
+
+    def record_for(*args, _real=oracle._record_for):
+        rec = _real(*args)
+        if not flipped:
+            flipped.append(rec)
+            rec = replace(rec, reflexible=not rec.reflexible)
+        return rec
+
+    monkeypatch.setattr(oracle, "_record_for", record_for)
+    code, out, err = run(capsys, ["verify", "--q", "9", "--level",
+                                  "bruteforce"])
+    assert (code, out) == (4, "")
+    assert flipped
+    assert "internal invariant failed: bundle flags differ" in err
+
+
 def test_verify_selfdual_against_embedded_row(capsys):
     code, out, _ = run(capsys, ["verify", "--q", "3", "--level", "selfdual"])
     assert code == 0
@@ -312,12 +342,12 @@ def test_orbits_bound_is_resource_guard(capsys):
 
 
 def test_output_matches_golden_file(capsys):
-    # stdout bytes and exit codes of 15 invocations in each format, error
-    # cases included, plus the text bruteforce run at q=17; the file is
-    # data, never regenerated from this code
+    # stdout bytes and exit codes of 16 invocations in each format, error
+    # cases included, plus the bruteforce run at q=9 in json and csv and at
+    # q=17 in text; the file is data, never regenerated from this code
     cases = json.loads((ROOT / "tests" / "data" / "cli_golden.json")
                        .read_text(encoding="utf-8"))
-    assert len(cases) == 46
+    assert len(cases) == 51
     for case in cases:
         code, out, _ = run(capsys, case["argv"])
         assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
@@ -378,7 +408,7 @@ def test_largest_prime_in_range_still_counts():
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
-    def broken(records, bundles):
+    def broken(bundles):
         raise KeyError("bundle")
 
     monkeypatch.setattr(oracle, "fused_records", broken)

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,7 +109,11 @@ def test_partition_computes_lam_sigma_per_class_not_per_quad(monkeypatch):
     monkeypatch.setattr(oracle, "_lam_sigma", counted)
     orbits = oracle.enumerate_orbits(9)
     assert sum(len(o) for o in orbits.values()) == 790
-    assert len(calls) < 1000  # 16,475 when it ran once per quad
+    per_class = Counter(calls)
+    assert set(per_class) == set(orbits)
+    # one for the quads, one for the walker; 16,475 when it ran once per
+    # quad and 790 more when each walk started from a partner matrix
+    assert max(per_class.values()) <= 2
 
 
 def test_partition_makes_no_matrix_product_per_quad(monkeypatch):
@@ -234,28 +239,29 @@ def test_act_quad_keeps_each_orbit(F9, F25, F49, F81, orbits3, orbits5,
 
 def test_partition_walk_rejects_a_move_outside_the_stabilizer(F25,
                                                              monkeypatch):
-    # dia(xi, 1) L A^(sigma^j) R is monomial like every move, but scales one
-    # row, so the walk's shape check must refuse it
-    moves = oracle._stabilizer_moves
+    # [dia(xi, 1), 0] in place of the identity gives a monomial move like
+    # every other, but it scales one row and one column, so the walk's
+    # shape check must refuse it
+    real = oracle.stabilizer_elements
 
-    def skewed(F, cls):
-        (L, R, j), *rest = moves(F, cls)
-        return [(mat_mul(F, (F.xi, 0, 0, 1), L), R, j)] + rest
+    def skewed(cls, F):
+        return [TwElem(F, (F.xi, 0, 0, 1), 0) if g.is_identity() else g
+                for g in real(cls, F)]
 
-    monkeypatch.setattr(oracle, "_stabilizer_moves", skewed)
+    monkeypatch.setattr(oracle, "stabilizer_elements", skewed)
     for cls in all_classes(5):
         with pytest.raises(AssertionError, match="involution shape"):
             oracle.orbit_partition(F25, cls)
 
 
-def test_partition_builds_one_pair_per_orbit(monkeypatch):
+def test_partition_builds_no_partner_matrix(monkeypatch):
     calls = _count_calls(monkeypatch, oracle, "quad_matrix")
     orbits = enumerate_orbits(5)
     assert sum(len(o) for o in orbits.values()) == 69
-    assert calls[0] == 69
+    assert calls[0] == 0  # 69, one per orbit, when walks started from one
 
 
-def test_partition_walks_raw_matrices(monkeypatch):
+def test_partition_walks_quad_logs(monkeypatch):
     conjugations = _count_calls(monkeypatch, oracle, "conjugate")
     inverses = _count_calls(monkeypatch, TwElem, "inv")
     starts = _count_calls(monkeypatch, oracle, "quad_matrix")
@@ -264,12 +270,12 @@ def test_partition_walks_raw_matrices(monkeypatch):
     assert sum(len(orbit) for o in orbits.values() for orbit in o) == 15680
     assert conjugations[0] == 0  # one per quad (15,680) before the walk
     assert inverses[0] <= sum(stabilizer_size(cls, 9) for cls in orbits) == 112
-    assert starts[0] == 790
+    assert starts[0] == 0  # 790, one partner matrix per walk, before
 
 
-def test_fusion_looks_up_images_once_per_bundle(orbits9, monkeypatch):
+def test_fusion_looks_up_images_once_per_bundle(records9, monkeypatch):
     calls = _count_calls(monkeypatch, oracle, "pair_key")
-    assert len(galois_fuse(orbits9, 3, 2)) == 395
+    assert len(galois_fuse(records9, 3, 2)) == 395
     assert calls[0] == 395  # one image per bundle of two, not per orbit
 
 
@@ -444,19 +450,11 @@ def test_generic_pair_at_q27_sits_at_level_three():
     assert generated_level(pair) == 3
 
 
-def test_fusion_reads_only_orbit_heads(orbits9):
-    # fusion names each Frobenius image by walking it, not through an index
-    # of every partitioned quad, so orbits cut to their least quad suffice
-    heads = {cls: [orbit[:1] for orbit in cls_orbits]
-             for cls, cls_orbits in orbits9.items()}
-    assert galois_fuse(heads, 3, 2) == galois_fuse(orbits9, 3, 2)
-
-
-def test_galois_fusion_at_q9(orbits9, records9):
-    bundles = galois_fuse(orbits9, 3, 2)
+def test_galois_fusion_at_q9(records9):
+    bundles = galois_fuse(records9, 3, 2)
     assert len(bundles) == 395
     assert all(len(b) == 2 for b in bundles)
-    fused = fused_records(records9, bundles)
+    fused = fused_records(bundles)
     assert len(fused) == 395
     assert sum(r.size for r in fused) == sum(r.size for r in records9)
     assert selfdual_cells(fused) == {"dia": SELFDUAL_TABLE[9]["dia"],
@@ -464,10 +462,9 @@ def test_galois_fusion_at_q9(orbits9, records9):
 
 
 def test_fusion_bundles_name_orbits_by_record_key(F81, orbits9, records9):
-    bundles = galois_fuse(orbits9, 3, 2)
-    heads = {(cls, orbit[0]) for cls, cls_orbits in orbits9.items()
-             for orbit in cls_orbits}
-    assert all(member in heads for b in bundles for member in b)
+    bundles = galois_fuse(records9, 3, 2)
+    assert sorted(m for b in bundles for m in b) == records9
+    assert bundles == sorted(bundles) and all(b == sorted(b) for b in bundles)
     # the positional fusion this replaces: orbits named (class, index), the
     # Frobenius image of every orbit located through a quad -> name dict,
     # and members aggregated after looking their keys up by index
@@ -490,17 +487,19 @@ def test_fusion_bundles_name_orbits_by_record_key(F81, orbits9, records9):
     old_fused = [aggregate([by_key[(cls.form, cls.i, orbits9[cls][idx][0])]
                             for cls, idx in b]) for b in old]
     old_fused.sort(key=lambda r: (r.form, r.i, r.key))
-    assert fused_records(records9, bundles) == old_fused
+    assert fused_records(bundles) == old_fused
 
 
 @pytest.mark.stretch
 def test_fusion_at_q27_stays_below_400_mb():
-    # partition plus fusion in a fresh process, so ru_maxrss is theirs
+    # partition, records and fusion in a fresh process, so ru_maxrss is
+    # theirs
     code = textwrap.dedent("""
         import json, resource
         from collections import Counter
-        from twistedmaps.oracle import enumerate_orbits, galois_fuse
-        bundles = galois_fuse(enumerate_orbits(27), 3, 3)
+        from twistedmaps.oracle import (enumerate_orbits, galois_fuse,
+                                        orbit_records)
+        bundles = galois_fuse(orbit_records(27, enumerate_orbits(27)), 3, 3)
         print(json.dumps({
             "sizes": sorted(Counter(len(b) for b in bundles).items()),
             "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
@@ -518,7 +517,7 @@ def test_fusion_at_q27_stays_below_400_mb():
 
 def test_fusion_is_trivial_at_prime_q(orbits3):
     recs = orbit_records(3, orbits3)
-    assert fused_records(recs, galois_fuse(orbits3, 3, 1)) == recs
+    assert fused_records(galois_fuse(recs, 3, 1)) == recs
 
 
 def test_records_are_sorted_and_unique(records9):
