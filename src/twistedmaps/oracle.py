@@ -17,14 +17,17 @@ direct group arithmetic, never through the closed formulas.
 A map is an orbit, so every per-map question is whether some image pair lies
 in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
 self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
-Frobenius image.  pair_key answers all of them by naming the orbit of any
-admissible pair as (class, quad).  Only the records read an orbit's member
-list; Galois fusion bundles the records, naming each Frobenius image as a
-record is named, (class, least quad).  orbit_walker is the one walk of an
-orbit: the partition runs it from each unseen quad, fusion from each
-Frobenius image.  The explicit conjugator searches that witness these
-answers, and the whole-group enumerators, are test references in
-tests/reference.py, outside the package.
+Frobenius image.  Each answer names the image's orbit as (class, quad) from
+a canonical-form witness carrying its second member onto a representative.
+The records run canonical_form once per orbit, on x, and once per class, on
+the inverted representative; those witnesses name all three image pairs.
+Fusion names each Frobenius image with pair_key.  Only the records read an
+orbit's member list; Galois fusion bundles the records, naming each image's
+record as a record is named, (class, least quad).  orbit_walker is the one
+walk of an orbit: the partition runs it from each unseen quad, fusion from
+each Frobenius image.  The explicit conjugator searches that witness these
+answers, the three-lookup record builder, and the whole-group enumerators
+are test references in tests/reference.py, outside the package.
 """
 
 from dataclasses import dataclass, replace
@@ -83,12 +86,18 @@ def matrix_quad(F, cls, M):
     return (first, second, u)
 
 
+def _witness_key(F, cls, w, first):
+    """(class, quad) of the orbit holding a map pair (first, second), given
+    the class of second and a witness w with conjugate(second, w) equal to
+    that class's representative: the quad of first conjugated by w."""
+    return cls, matrix_quad(F, cls, conjugate(first, w).matrix)
+
+
 def pair_key(F, first, second):
     """(class, quad) of the orbit holding the map pair (first, second): the
     class of second, and the quad of first once second is conjugated onto
     that class's representative."""
-    cls, w = canonical_form(second)
-    return cls, matrix_quad(F, cls, conjugate(first, w).matrix)
+    return _witness_key(F, *canonical_form(second), first)
 
 
 def class_quads(F, cls):
@@ -371,25 +380,41 @@ class OrbitRec:
     neg_selfdual: bool
 
 
-def _record_for(F, cls, orbit, orders):
-    """The record of one orbit; orders maps each class to the order of its
-    representative, which every member of the class shares."""
+def _record_for(F, cls, orbit, orders, inverses):
+    """The record of one orbit.  orders maps each class to the order of its
+    representative, which every member of the class shares; inverses maps
+    each class c to (c*, w*) = canonical_form(rep(c)^-1).
+
+    One canonical form per orbit, (c_x, w_x) of x, names all three image
+    pairs together with the per-class pairs.  y is rep(cls), so (x^-1, y^-1)
+    is named by inverses[cls], and (y, x) by (c_x, w_x).  conjugate(x, w_x)
+    is rep(c_x), so w_x carries x^-1 onto rep(c_x)^-1, which w_x* carries
+    onto rep(c_x*): (y^-1, x^-1) is named by (c_x*, w_x w_x*), a witness
+    no canonical_form returned, so it is checked here as canonical_form
+    checks its own.  Each key is built in full before it is compared with
+    this orbit."""
     pair = quad_pair(F, cls, orbit[0])
     x, y = pair
-    xi, yi = x.inv(), y.inv()
     members = set(orbit)
 
     def same_map(key):
         return key[0] == cls and key[1] in members
 
-    dual = pair_key(F, y, x)  # keyed by the class of x
-    k, l = orders[dual[0]], orders[cls]
+    c_x, w_x = canonical_form(x)
+    k, l = orders[c_x], orders[cls]
+    neg_selfdual = False
+    if k == l:
+        c_xi, w_xi = inverses[c_x]
+        w = w_x * w_xi
+        assert conjugate(x.inv(), w) == canonical_rep(c_xi, F), \
+            "derived witness must carry x^-1 onto its representative"
+        neg_selfdual = same_map(_witness_key(F, c_xi, w, y.inv()))
     return OrbitRec(
         form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
         level=generated_level(pair), k=k, l=l,
-        reflexible=same_map(pair_key(F, xi, yi)),
-        pos_selfdual=same_map(dual),
-        neg_selfdual=k == l and same_map(pair_key(F, yi, xi)),
+        reflexible=same_map(_witness_key(F, *inverses[cls], x.inv())),
+        pos_selfdual=same_map(_witness_key(F, c_x, w_x, y)),
+        neg_selfdual=neg_selfdual,
     )
 
 
@@ -397,8 +422,10 @@ def orbit_records(q, orbits):
     """Deterministically ordered OrbitRec rows for every orbit at one q."""
     p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
-    orders = {cls: order(canonical_rep(cls, F)) for cls in all_classes(q)}
-    recs = [_record_for(F, cls, orbit, orders)
+    reps = {cls: canonical_rep(cls, F) for cls in all_classes(q)}
+    orders = {cls: order(y) for cls, y in reps.items()}
+    inverses = {cls: canonical_form(y.inv()) for cls, y in reps.items()}
+    recs = [_record_for(F, cls, orbit, orders, inverses)
             for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
     recs.sort()
     return recs

@@ -1,12 +1,18 @@
-"""Test references: explicit conjugator witnesses and whole-group enumerators.
+"""Test references: explicit conjugator witnesses, the three-lookup record
+builder, and whole-group enumerators.
 
 No CLI path and no benchmark leg runs any of these.  They stand beside the
 package as slow, direct recomputations: the conjugator searches witness what
-the orbit records answer by lookup, and the enumerators walk a whole group
+the orbit records answer by lookup, the record builder names every image
+pair with its own canonical form, and the enumerators walk a whole group
 for exhaustive checks at tiny q.
 """
 
-from twistedmaps.canonical import canonical_form, stabilizer_elements
+from twistedmaps.canonical import (all_classes, canonical_form,
+                                   canonical_rep, stabilizer_elements)
+from twistedmaps.gfield import make_field
+from twistedmaps.numth import odd_prime_power
+from twistedmaps.oracle import OrbitRec, generated_level, pair_key, quad_pair
 from twistedmaps.twisted_group import (TwElem, conjugate, iota, mat_det,
                                        order)
 
@@ -64,6 +70,43 @@ def brute_reflexible(pair, elements):
         if conjugate(x, g) == x.inv() and conjugate(y, g) == y.inv():
             return g
     return None
+
+
+# ---------------------------------------------------------------------------
+# records with one pair_key lookup per image pair
+
+def _record_by_pair_key(F, cls, orbit, orders):
+    """The record of one orbit; orders maps each class to the order of its
+    representative, which every member of the class shares."""
+    pair = quad_pair(F, cls, orbit[0])
+    x, y = pair
+    xi, yi = x.inv(), y.inv()
+    members = set(orbit)
+
+    def same_map(key):
+        return key[0] == cls and key[1] in members
+
+    dual = pair_key(F, y, x)  # keyed by the class of x
+    k, l = orders[dual[0]], orders[cls]
+    return OrbitRec(
+        form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
+        level=generated_level(pair), k=k, l=l,
+        reflexible=same_map(pair_key(F, xi, yi)),
+        pos_selfdual=same_map(dual),
+        neg_selfdual=k == l and same_map(pair_key(F, yi, xi)),
+    )
+
+
+def records_by_pair_key(q, orbits):
+    """Reference for oracle.orbit_records: the same rows, each image pair
+    named by its own canonical form, up to three per orbit."""
+    p, f = odd_prime_power(q)
+    F = make_field(p, 2 * f)
+    orders = {cls: order(canonical_rep(cls, F)) for cls in all_classes(q)}
+    recs = [_record_by_pair_key(F, cls, orbit, orders)
+            for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
+    recs.sort()
+    return recs
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,8 @@ def test_verify_bruteforce_at_the_cap(capsys, q, checks):
 
 def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     calls = dict.fromkeys(("enumerate_orbits", "orbit_partition",
-                           "_record_for", "galois_fuse", "order"), 0)
+                           "_record_for", "galois_fuse", "canonical_form",
+                           "order"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -226,9 +227,11 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--q", "9", "--level", "bruteforce"])
     assert code == 0
     assert calls.pop("order") <= len(all_classes(9))
+    # one canonical form per orbit, one per class and one per fusion image
     assert calls == {"enumerate_orbits": 1,
                      "orbit_partition": len(all_classes(9)),
-                     "_record_for": 790, "galois_fuse": 1}
+                     "_record_for": 790, "galois_fuse": 1,
+                     "canonical_form": 790 + len(all_classes(9)) + 395}
 
     calls.update(dict.fromkeys(calls, 0), order=0)
     code, out, _ = run(capsys, ["verify", "--q", "3", "--level",
@@ -238,7 +241,8 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     assert calls.pop("order") <= len(all_classes(3))
     assert calls == {"enumerate_orbits": 1,
                      "orbit_partition": len(all_classes(3)),
-                     "_record_for": 7, "galois_fuse": 0}
+                     "_record_for": 7, "galois_fuse": 0,
+                     "canonical_form": 7 + len(all_classes(3))}
 
 
 def test_fusion_size_violations_are_counted(capsys, monkeypatch):

@@ -29,7 +29,7 @@ from twistedmaps.twisted_group import (TwElem, conjugate, mat_frob, mat_mul,
                                        order)
 
 from reference import (all_group_elements, brute_reflexible, is_reflexible,
-                       self_duality)
+                       records_by_pair_key, self_duality)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -290,12 +290,15 @@ def test_reflexible_tallies_match_formulas(orbits3, orbits5, orbits7):
 
 
 def test_record_flags_agree_with_conjugator_witnesses(orbits3, orbits5,
-                                                      orbits7):
-    # the records test orbit membership of the inverted and swapped pairs;
-    # the references search the stabilizer for an explicit conjugator
-    for q, orbits in ((3, orbits3), (5, orbits5), (7, orbits7)):
-        F = make_field(q, 2)
-        for r in orbit_records(q, orbits):
+                                                      orbits7, records9):
+    # the records test orbit membership of the inverted and swapped pairs,
+    # named through per-class witnesses; the references search the
+    # stabilizer for an explicit conjugator, with no per-class shortcut
+    for F, records in ((make_field(3, 2), orbit_records(3, orbits3)),
+                       (make_field(5, 2), orbit_records(5, orbits5)),
+                       (make_field(7, 2), orbit_records(7, orbits7)),
+                       (make_field(3, 4), records9)):
+        for r in records:
             pair = quad_pair(F, CanonClass(r.form, r.i), r.key)
             assert r.reflexible == (is_reflexible(pair) is not None)
             if r.k == r.l:
@@ -304,6 +307,37 @@ def test_record_flags_agree_with_conjugator_witnesses(orbits3, orbits5,
                     pos is not None, neg is not None)
             else:
                 assert not r.pos_selfdual and not r.neg_selfdual
+
+
+def test_records_check_the_derived_negative_dual_witness(F25, orbits5):
+    # the negative dual key's witness w_x w_x* is a product no
+    # canonical_form returned; skewing every per-class witness w* must trip
+    # its check on each orbit that asks for negative self-duality
+    skew = TwElem(F25, (F25.xi, 0, 0, 1), 0)
+    reps = {cls: oracle.canonical_rep(cls, F25) for cls in orbits5}
+    orders = {cls: order(y) for cls, y in reps.items()}
+    skewed = {cls: (c, w * skew) for cls, (c, w) in
+              ((cls, oracle.canonical_form(y.inv())) for cls, y in reps.items())}
+    asked = 0
+    for cls, cls_orbits in orbits5.items():
+        for orbit in cls_orbits:
+            x, _ = quad_pair(F25, cls, orbit[0])
+            if orders[oracle.canonical_form(x)[0]] == orders[cls]:
+                asked += 1
+                with pytest.raises(AssertionError, match="derived witness"):
+                    oracle._record_for(F25, cls, orbit, orders, skewed)
+    assert asked > 0
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13,
+                               pytest.param(17, marks=pytest.mark.extended),
+                               pytest.param(19, marks=pytest.mark.extended),
+                               pytest.param(25, marks=pytest.mark.extended)])
+def test_records_equal_the_three_lookup_reference(q):
+    # the reference names each image pair by its own canonical form; the
+    # records take two of the three from per-class witnesses
+    orbits = enumerate_orbits(q)
+    assert orbit_records(q, orbits) == records_by_pair_key(q, orbits)
 
 
 def test_reflexible_search_agrees_with_element_scan_q3(F9, orbits3):
