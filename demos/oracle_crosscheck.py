@@ -7,11 +7,18 @@ orbit records test by lookup; for one pair that lookup is also made by
 hand.  The numbers have to agree with the census.
 """
 
+import sys
+from pathlib import Path
+
 from twistedmaps import (make_field, orbit_counts, reflexible_orbit_counts)
 from twistedmaps.canonical import stabilizer_size
 from twistedmaps.oracle import (closure_order, enumerate_orbits,
-                                orbit_count_summary, orbit_records, pair_key,
-                                quad_pair)
+                                orbit_count_summary, orbit_records, quad_pair)
+
+# the lookup by hand uses the test reference that names one image pair by
+# its own canonical form
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import pair_key  # noqa: E402
 
 q = 5
 F = make_field(5, 2)

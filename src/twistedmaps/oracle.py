@@ -21,13 +21,23 @@ Frobenius image.  Each answer names the image's orbit as (class, quad) from
 a canonical-form witness carrying its second member onto a representative.
 The records run canonical_form once per orbit, on x, and once per class, on
 the inverted representative; those witnesses name all three image pairs.
-Fusion names each Frobenius image with pair_key.  Only the records read an
-orbit's member list; Galois fusion bundles the records, naming each image's
-record as a record is named, (class, least quad).  orbit_walker is the one
-walk of an orbit: the partition runs it from each unseen quad, fusion from
-each Frobenius image.  The explicit conjugator searches that witness these
-answers, the three-lookup record builder, and the whole-group enumerators
-are test references in tests/reference.py, outside the package.
+Fusion runs canonical_form once per class and Frobenius power, on the image
+of the representative, and names each image pair from it.  Only the records
+read an orbit's member list; Galois fusion bundles the records, naming each
+image's record as a record is named, (class, least quad).  orbit_walker is
+the one walk of an orbit: the partition runs it from each unseen quad,
+fusion from each Frobenius image.
+
+closure_order builds the subgroup a pair generates without TwElem products:
+an element [A, i] is the two rows of A as points of the projective line
+over F, the log of row 1's scale against row 0's, and i.  Each generator
+acts on rows through two tables of |F| + 1 entries, one for a left factor
+with twist bit 0 and one for twist bit 1.
+
+The explicit conjugator searches that witness these answers, the
+three-lookup record builder, pair_key, the TwElem closure and the
+whole-group enumerators are test references in tests/reference.py, outside
+the package.
 """
 
 from dataclasses import dataclass, replace
@@ -36,8 +46,7 @@ from .canonical import (CanonClass, all_classes, canonical_form,
                         canonical_rep, is_exceptional, stabilizer_elements)
 from .gfield import make_field
 from .numth import divisors, odd_part, odd_prime_power
-from .twisted_group import (TwElem, conjugate, identity, mat_frob, mat_inv,
-                            order)
+from .twisted_group import TwElem, conjugate, mat_frob, mat_inv, order
 
 
 def _lam_sigma(F, cls):
@@ -91,13 +100,6 @@ def _witness_key(F, cls, w, first):
     the class of second and a witness w with conjugate(second, w) equal to
     that class's representative: the quad of first conjugated by w."""
     return cls, matrix_quad(F, cls, conjugate(first, w).matrix)
-
-
-def pair_key(F, first, second):
-    """(class, quad) of the orbit holding the map pair (first, second): the
-    class of second, and the quad of first once second is conjugated onto
-    that class's representative."""
-    return _witness_key(F, *canonical_form(second), first)
 
 
 def class_quads(F, cls):
@@ -292,25 +294,64 @@ def generated_level(pair):
     return sizes[n]
 
 
-def closure_order(pair, cap=10 ** 6):
-    """Size of the subgroup generated by the pair, by breadth-first closure
-    over positive words (in a finite group they already form the subgroup)."""
-    x, y = pair
-    gens = (x, y)
-    seen = {identity(x.F)}
-    frontier = [identity(x.F)]
+def _row_table(F, B):
+    """Right multiplication by B on the rows of a matrix, as points of the
+    projective line: entry p is (point, log of lead) of the row (1, p) B,
+    and entry |F| that of (0, 1) B."""
+    a, b, c, d = B
+    rows = [(F.add(a, F.mul(p, c)), F.add(b, F.mul(p, d)))
+            for p in F.elements()]
+    rows.append((c, d))
+    return [(F.div(v, u), F.log[u]) if u else (F.size, F.log[v])
+            for u, v in rows]
+
+
+def _closure_rows(pair, cap):
+    """The elements of the subgroup a pair of twisted elements generates,
+    in the row form of closure_order."""
+    F = pair[0].F
+    n = F.size - 1
+    gens = [((_row_table(F, g.matrix),
+              _row_table(F, mat_frob(F, g.matrix, F.m // 2))), g.i)
+            for g in pair]
+    start = (0, F.size, 0, 0)  # the identity
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for z in frontier:
-            for g in gens:
-                w = z * g
+        for p0, p1, s1, i in frontier:
+            for tables, gi in gens:
+                table = tables[i]
+                q0, t0 = table[p0]
+                q1, t1 = table[p1]
+                assert q0 != q1, "product rows must not be proportional"
+                w = (q0, q1, (s1 + t1 - t0) % n, i ^ gi)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
                     if len(seen) > cap:
                         raise RuntimeError("closure exceeds cap")
         frontier = nxt
-    return len(seen)
+    assert 2 * sum(z[3] for z in seen) == len(seen), \
+        "a subgroup with twisted elements must be half twisted"
+    return seen
+
+
+def closure_order(pair, cap=10 ** 6):
+    """Size of the subgroup generated by a pair of twisted elements, by
+    breadth-first closure over positive words (in a finite group they
+    already form the subgroup); raises RuntimeError once it passes cap.
+
+    An element [A, i] is walked as (p0, p1, s1, i): p0 and p1 are A's rows
+    as points of the projective line over F, the row (1, b) written b and
+    (0, 1) written |F|; row 0 is scaled to lead 1, as TwElem scales A, and
+    s1 is the log of row 1's lead.  z g = [A B^(sigma^i), i ^ j] for a
+    generator g = [B, j], so each generator carries one row table for B and
+    one for B^sigma, and a product is two table lookups and a sum of logs.
+    The generators must be twisted: the closure asserts that half of its
+    elements are, as in any subgroup holding a twisted element.
+    """
+    return len(_closure_rows(pair, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +371,23 @@ def galois_fuse(records, p, f):
     """
     F = make_field(p, 2 * f)
     named = {(CanonClass(r.form, r.i), r.key): r for r in records}
-    walks = {cls: orbit_walker(F, cls) for cls in {c for c, _ in named}}
+    classes = {c for c, _ in named}
+    walks = {cls: orbit_walker(F, cls) for cls in classes}
+
+    def phi(g, j):
+        return TwElem(F, mat_frob(F, g.matrix, j), g.i)
+
+    # y is rep(cls), so the second member of every image under phi^j is
+    # phi^j(rep(cls)): one canonical form per class and j names them all
+    forms = {(cls, j): canonical_form(phi(canonical_rep(cls, F), j))
+             for cls in classes for j in range(1, f)}
     placed = set()
     bundles = []
     for (cls, key), rec in named.items():
         if rec in placed:
             continue
-        x, y = quad_pair(F, cls, key)  # both twisted
-        images = (pair_key(F, TwElem(F, mat_frob(F, x.matrix, j), 1),
-                           TwElem(F, mat_frob(F, y.matrix, j), 1))
+        x, _ = quad_pair(F, cls, key)
+        images = (_witness_key(F, *forms[cls, j], phi(x, j))
                   for j in range(1, f))
         bundle = {rec}
         bundle.update(named[c, min(walks[c](quad))] for c, quad in images)

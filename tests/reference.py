@@ -1,20 +1,22 @@
 """Test references: explicit conjugator witnesses, the three-lookup record
-builder, and whole-group enumerators.
+builder with its pair_key, the TwElem closure, and whole-group enumerators.
 
 No CLI path and no benchmark leg runs any of these.  They stand beside the
 package as slow, direct recomputations: the conjugator searches witness what
 the orbit records answer by lookup, the record builder names every image
-pair with its own canonical form, and the enumerators walk a whole group
-for exhaustive checks at tiny q.
+pair with its own canonical form, the closure multiplies TwElems where
+oracle.closure_order steps rows through tables, and the enumerators walk a
+whole group for exhaustive checks at tiny q.
 """
 
 from twistedmaps.canonical import (all_classes, canonical_form,
                                    canonical_rep, stabilizer_elements)
 from twistedmaps.gfield import make_field
 from twistedmaps.numth import odd_prime_power
-from twistedmaps.oracle import OrbitRec, generated_level, pair_key, quad_pair
-from twistedmaps.twisted_group import (TwElem, conjugate, iota, mat_det,
-                                       order)
+from twistedmaps.oracle import (OrbitRec, _witness_key, generated_level,
+                                quad_pair)
+from twistedmaps.twisted_group import (TwElem, conjugate, identity, iota,
+                                       mat_det, order)
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,13 @@ def brute_reflexible(pair, elements):
 # ---------------------------------------------------------------------------
 # records with one pair_key lookup per image pair
 
+def pair_key(F, first, second):
+    """(class, quad) of the orbit holding the map pair (first, second): the
+    class of second, and the quad of first once second is conjugated onto
+    that class's representative."""
+    return _witness_key(F, *canonical_form(second), first)
+
+
 def _record_by_pair_key(F, cls, orbit, orders):
     """The record of one orbit; orders maps each class to the order of its
     representative, which every member of the class shares."""
@@ -107,6 +116,31 @@ def records_by_pair_key(q, orbits):
             for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
     recs.sort()
     return recs
+
+
+# ---------------------------------------------------------------------------
+# subgroup closure by TwElem products
+
+def closure_by_products(pair, cap=10 ** 6):
+    """The subgroup generated by the pair, as a set of TwElems, by
+    breadth-first closure over positive words (in a finite group they
+    already form the subgroup)."""
+    x, y = pair
+    gens = (x, y)
+    seen = {identity(x.F)}
+    frontier = [identity(x.F)]
+    while frontier:
+        nxt = []
+        for z in frontier:
+            for g in gens:
+                w = z * g
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    if len(seen) > cap:
+                        raise RuntimeError("closure exceeds cap")
+        frontier = nxt
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -227,11 +227,13 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--q", "9", "--level", "bruteforce"])
     assert code == 0
     assert calls.pop("order") <= len(all_classes(9))
-    # one canonical form per orbit, one per class and one per fusion image
+    # one canonical form per orbit, one per class, and in fusion one per
+    # class and Frobenius power
     assert calls == {"enumerate_orbits": 1,
                      "orbit_partition": len(all_classes(9)),
                      "_record_for": 790, "galois_fuse": 1,
-                     "canonical_form": 790 + len(all_classes(9)) + 395}
+                     "canonical_form": 790 + len(all_classes(9))
+                     + len(all_classes(9))}
 
     calls.update(dict.fromkeys(calls, 0), order=0)
     code, out, _ = run(capsys, ["verify", "--q", "3", "--level",

@@ -28,7 +28,8 @@ from twistedmaps.oracle import (SELFDUAL_TABLE, act_quad, class_quads,
 from twistedmaps.twisted_group import (TwElem, conjugate, mat_frob, mat_mul,
                                        order)
 
-from reference import (all_group_elements, brute_reflexible, is_reflexible,
+from reference import (all_group_elements, brute_reflexible,
+                       closure_by_products, is_reflexible, pair_key,
                        records_by_pair_key, self_duality)
 
 
@@ -274,9 +275,10 @@ def test_partition_walks_quad_logs(monkeypatch):
 
 
 def test_fusion_looks_up_images_once_per_bundle(records9, monkeypatch):
-    calls = _count_calls(monkeypatch, oracle, "pair_key")
+    calls = _count_calls(monkeypatch, oracle, "canonical_form")
     assert len(galois_fuse(records9, 3, 2)) == 395
-    assert calls[0] == 395  # one image per bundle of two, not per orbit
+    # one per class and Frobenius power; 395 when each image took its own
+    assert calls[0] == len(all_classes(9)) == 5
 
 
 def test_reflexible_tallies_match_formulas(orbits3, orbits5, orbits7):
@@ -434,13 +436,54 @@ def test_closure_reaches_the_whole_group_q3(F9, orbits3):
             assert closure_order(pair) == 720  # |M(9)| = 9 * 80
 
 
-def test_closure_multiplies_by_positive_generators_only(F9, orbits3,
-                                                         monkeypatch):
-    cls = CanonClass("off", 1)
+def _row_element(F, z):
+    """The TwElem of an element in closure_order's row form."""
+    p0, p1, s1, i = z
+
+    def row(p, lead):  # |F| stands for the point (0, 1)
+        return (0, lead) if p == F.size else (lead, F.mul(lead, p))
+
+    return TwElem(F, row(p0, 1) + row(p1, F.exp[s1]), i)
+
+
+def test_closure_rows_are_the_subgroup_of_products(F9, F25, orbits3,
+                                                   orbits5):
+    # |PGL(2, q^2)| = |M(q^2)|, so a size alone would pass a kernel that
+    # ignores sigma or never flips the twist bit; compare the element sets.
+    # M(q^2) is {[A, iota(A)]} as a set, which a kernel that ignores sigma
+    # also reaches, so the cyclic subgroups of x and y are compared too
+    cls5 = CanonClass("off", 1)
+    pairs = [quad_pair(F9, cls, orbit[0])
+             for cls, cls_orbits in orbits3.items() for orbit in cls_orbits]
+    pairs.append(quad_pair(F25, cls5, orbits5[cls5][0][0]))
+    assert len(pairs) == 7 + 1
+    for x, y in pairs:
+        F = x.F
+        rows = oracle._closure_rows((x, y), 10 ** 6)
+        assert len(rows) == F.size * (F.size ** 2 - 1)
+        assert ({_row_element(F, z) for z in rows}
+                == closure_by_products((x, y)))
+        for g in (x, y):
+            rows = oracle._closure_rows((g, g), 10 ** 6)
+            assert len(rows) == order(g)
+            assert ({_row_element(F, z) for z in rows}
+                    == closure_by_products((g, g)))
+
+
+def test_closure_cap_is_exceeded_past_the_subgroup_order(F9, orbits3):
+    cls = CanonClass("dia", 1)
     pair = quad_pair(F9, cls, orbits3[cls][0][0])
-    calls = _count_calls(monkeypatch, TwElem, "__mul__")
-    assert closure_order(pair) == 720
-    assert calls[0] == 2 * 720  # each element times x and times y
+    with pytest.raises(RuntimeError, match="exceeds cap"):
+        closure_order(pair, cap=719)
+    assert closure_order(pair, cap=720) == 720
+
+
+def test_closure_of_untwisted_generators_trips_the_half_twisted_check(
+        F9, orbits3):
+    cls = CanonClass("off", 1)
+    x, y = quad_pair(F9, cls, orbits3[cls][0][0])
+    with pytest.raises(AssertionError, match="half twisted"):
+        closure_order((x * x, y * y))
 
 
 def test_closure_reaches_the_whole_group_q5_sampled(F25, orbits5):
@@ -509,7 +552,7 @@ def test_fusion_bundles_name_orbits_by_record_key(F81, orbits9, records9):
         for idx, orbit in enumerate(cls_orbits):
             phi_x, phi_y = (TwElem(F81, mat_frob(F81, g.matrix, 1), g.i)
                             for g in quad_pair(F81, cls, orbit[0]))
-            image = locate[oracle.pair_key(F81, phi_x, phi_y)]
+            image = locate[pair_key(F81, phi_x, phi_y)]
             old.add(frozenset({(cls, idx), image}))
     by_key = {(r.form, r.i, r.key): r for r in records9}
 
