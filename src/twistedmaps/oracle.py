@@ -28,6 +28,10 @@ image's record as a record is named, (class, least quad).  orbit_walker is
 the one walk of an orbit: the partition runs it from each unseen quad,
 fusion from each Frobenius image.
 
+generated_level names the subfield level a pair generates: element orders
+screen, and a closure capped just past the largest proper subgroup order
+decides every pair that passes the screen.
+
 closure_order builds the subgroup a pair generates without TwElem products:
 an element [A, i] is the two rows of A as points of the projective line
 over F, the log of row 1's scale against row 0's, and i.  Each generator
@@ -43,7 +47,8 @@ the package.
 from dataclasses import dataclass, replace
 
 from .canonical import (CanonClass, all_classes, canonical_form,
-                        canonical_rep, is_exceptional, stabilizer_elements)
+                        canonical_order, canonical_rep, is_exceptional,
+                        stabilizer_elements)
 from .gfield import make_field
 from .numth import divisors, odd_part, odd_prime_power
 from .twisted_group import TwElem, conjugate, mat_frob, mat_inv, order
@@ -249,28 +254,17 @@ def orbit_count_summary(q, orbits):
 # ---------------------------------------------------------------------------
 # which twisted subgroup a pair generates
 
-def _word_invariant(F, z):
-    """tr(M)^2/det(M) of an untwisted element, stable under conjugation,
-    scaling, inversion and cyclic shifts of the word."""
-    M = z.matrix
-    assert z.i == 0
-    tr = F.add(M[0], M[3])
-    det = F.sub(F.mul(M[0], M[3]), F.mul(M[1], M[2]))
-    return F.div(F.mul(tr, tr), det)
-
-
 def generated_level(pair):
     """Smallest admissible exponent e such that the pair generates a copy of
     the twisted group over GF(p^{2e}).
 
-    Conjugating the pair into the canonical subgroup over GF(p^{2e})
-    forces the invariant tr(M)^2/det(M) of every even word M in the pair
-    into that subfield, so testing a batch of short words rules proper
-    levels out.  The test alone is not sufficient (distinct words can
-    share an invariant), so any surviving proper level is confirmed by a
-    closure run capped just past the largest proper subgroup order; the
-    generated subgroup is always a twisted group of known order, which
-    the closure size then pins down.
+    Element orders screen and a closure decides.  A pair inside a copy
+    over GF(p^{2e}) is a pair of its twisted elements, so both orders are
+    among that copy's class orders; a pair failing this for every proper e
+    is at level f.  A passing pair goes to a closure capped just past the
+    largest proper subgroup order.  The generated subgroup is a twisted
+    group of known order, so the closure's size names the level, and a
+    closure past the cap means level f.
     """
     x, y = pair
     F = x.F
@@ -279,12 +273,11 @@ def generated_level(pair):
     proper = [2 ** alpha * d for d in divisors(o)[:-1]]
     if not proper:
         return f
-    xx, yy, xy = x * x, y * y, x * y
-    words = (xx, yy, xy, x * y.inv(), xx * xy, xx * yy, xy * xy)
-    invs = [_word_invariant(F, z) for z in words]
-    if not any(all(F.in_subfield(v, 2 * e) for v in invs) for e in proper):
-        return f
     p = F.p
+    screens = ({canonical_order(c, p ** e) for c in all_classes(p ** e)}
+               for e in proper)
+    if not any(all(order(z) in s for z in pair) for s in screens):
+        return f
     sizes = {p ** (2 * e) * (p ** (4 * e) - 1): e for e in proper}
     try:
         n = closure_order(pair, cap=max(sizes))

@@ -81,7 +81,8 @@ def caught_by(monkeypatch, capsys, oracle_cache):
     for owner, name in ((cli, "_oracle_pass"), (oracle, "closure_order")):
         real = getattr(owner, name)
 
-        # generated_level passes closure_order a cap at levels f > 2
+        # generated_level passes closure_order a cap only when f has a
+        # proper twisted level: q = 27 here, and not f = 4
         def shared(*args, _real=real, _name=name, **kwargs):
             key = (_name,) + args + tuple(sorted(kwargs.items()))
             if key not in oracle_cache:

@@ -38,9 +38,9 @@ def _count_calls(monkeypatch, owner, name):
     calls = [0]
     real = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -519,12 +519,37 @@ def test_embedded_subfield_pairs_sit_at_level_one(F9, orbits3):
             assert closure_order(pair) == 720
 
 
-def test_generic_pair_at_q27_sits_at_level_three():
+def test_generic_pair_at_q27_sits_at_level_three(monkeypatch):
     Fbig = make_field(3, 6)
     cls = CanonClass("dia", 1)
     quad = next(iter(class_quads(Fbig, cls)))
     pair = quad_pair(Fbig, cls, quad)
+    # orders 52 and 52, neither a twisted order over GF(9): no closure
+    assert [order(z) for z in pair] == [52, 52]
+    calls = _count_calls(monkeypatch, oracle, "closure_order")
     assert generated_level(pair) == 3
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("form, i, index, quad, level", [
+    ("dia", 13, 7, (1, 134, 32), 3),   # orders 8 and 4: closure past cap
+    ("off", 7, 20, (0, 567, 160), 1),  # orders 8 and 8: closure of 720
+], ids=["closure-past-cap", "closure-at-level-one"])
+def test_orders_screen_and_the_closure_decides_at_q27(
+        monkeypatch, form, i, index, quad, level):
+    # at q = 27 the one proper level is e = 1, whose twisted elements have
+    # orders 4 and 8; a pair with both orders there passes the screen, and
+    # only the capped closure tells a level-one pair from a level-three one
+    Fbig = make_field(3, 6)
+    assert {canonical_order(c, 3) for c in all_classes(3)} == {4, 8}
+    cls = CanonClass(form, i)
+    quads = list(class_quads(Fbig, cls))
+    assert quads[index] == quad
+    assert index == min(k for k, qd in enumerate(quads)
+                        if order(quad_pair(Fbig, cls, qd)[0]) in (4, 8))
+    calls = _count_calls(monkeypatch, oracle, "closure_order")
+    assert generated_level(quad_pair(Fbig, cls, quad)) == level
+    assert calls[0] == 1
 
 
 def test_galois_fusion_at_q9(records9):
