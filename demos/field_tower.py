@@ -26,7 +26,7 @@ print("a =", a, " a^sigma =", F9.frobenius(a, 1),
 assert F9.frobenius(a, 2) == a
 
 # the copy of GF(9) inside GF(729) is cut out by x^9 = x
-copy = sorted(x for x in range(F729.size) if F729.in_subfield(x, 2))
+copy = sorted(x for x in range(F729.size) if F729.frobenius(x, 2) == x)
 print("GF(729) holds a GF(9) copy of size", len(copy))
 
 embedded = sorted(F729.embed_from(F9, x) for x in range(9))

@@ -79,52 +79,69 @@ def _eigenvector(F, M, lam):
     return v
 
 
-def canonical_form(x):
-    """(CanonClass, witness) with conjugate(x, witness) == canonical_rep.
-
-    Defined for twisted elements of the twisted group (twist bit 1,
-    non-square determinant).
-    """
+def _class_of_square(x):
+    """(class, M, roots): M = A A^sigma of a twisted x = [A, 1], its
+    characteristic roots l1, l2, and the class they name.  dia(lam, 1)
+    squares to dia(lam^(q+1), 1) and off(lam, 1) to dia(lam, lam^q), so
+    r = dlog(l1/l2) is +-j(q+1) with roots in F0 and -+j(q-1) otherwise,
+    lam = xi^j; j mod m0 and -j fold to one i."""
     F = x.F
     assert x.i == 1 and in_G(x), "canonical form needs a twisted group element"
     f = F.m // 2
     q = F.p ** f
-    n = F.size - 1
-
-    A = x.matrix
-    M = mat_mul(F, A, mat_frob(F, A, f))
+    M = mat_mul(F, x.matrix, mat_frob(F, x.matrix, f))
     roots = char_roots(F, M)
     assert roots is not None, "characteristic roots must be distinct"
     l1, l2 = roots
+    dia = F.frobenius(l1, f) == l1
+    m0, step = (q - 1, q + 1) if dia else (q + 1, q - 1)
+    r = F.dlog(F.div(l1, l2))
+    assert r % step == 0, "root ratio must be a power of lam^(q-+1)"
+    j = r // step % m0
+    return CanonClass("dia" if dia else "off", min(j, m0 - j)), M, roots
+
+
+def twisted_class(x):
+    """canonical_form's class of x, read from the roots of A A^sigma alone."""
+    return _class_of_square(x)[0]
+
+
+def canonical_form(x):
+    """(CanonClass, witness) with conjugate(x, witness) == canonical_rep.
+
+    Defined for twisted elements of the twisted group (twist bit 1,
+    non-square determinant).  The class is twisted_class(x).
+    """
+    c, M, (l1, l2) = _class_of_square(x)
+    F = x.F
+    f = F.m // 2
+    n = F.size - 1
+    m0 = _modulus_for(c, F.p ** f)
 
     u1 = _eigenvector(F, M, l1)
     u2 = _eigenvector(F, M, l2)
     P = (u1[0], u2[0], u1[1], u2[1])
-    B = mat_mul(F, mat_inv(F, P), mat_mul(F, A, mat_frob(F, P, f)))
+    B = mat_mul(F, mat_inv(F, P), mat_mul(F, x.matrix, mat_frob(F, P, f)))
 
-    if F.frobenius(l1, f) == l1:
+    if c.form == "dia":
         assert F.frobenius(l2, f) == l2
-        form, m0 = "dia", q - 1
         assert B[1] == 0 and B[2] == 0, "dia case must diagonalize"
         lam_b = F.div(B[0], B[3])
     else:
         assert F.frobenius(l1, f) == l2
-        form, m0 = "off", q + 1
         assert B[0] == 0 and B[3] == 0, "off case must antidiagonalize"
         lam_b = F.div(B[1], B[2])
 
     j = F.dlog(lam_b)
     assert j % 2 == 1, "twisted canonical parameter must be a non-square"
 
-    r = j % m0
-    i = m0 - r if r > m0 // 2 else r
-    c = CanonClass(form, i)
-
     # second-stage conjugator moving exponent j onto the representative i
     # (diagonal when j = i mod m0, antidiagonal when j = -i mod m0)
+    i = c.i
     same = (j - i) % m0 == 0
+    assert same or (j + i) % m0 == 0, "exponent must fold to the root class"
     t = ((i - j) if same else -(i + j)) // m0
-    if form == "off":
+    if c.form == "off":
         t = -t
     e = F.pow(F.xi, t % n)
     g2 = TwElem(F, (e, 0, 0, 1) if same else (0, e, 1, 0), 0)

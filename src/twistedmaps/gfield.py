@@ -241,12 +241,6 @@ class Field:
         step = n // g
         return {self.exp[(t0 + k * step) % n] for k in range(g)}
 
-    def in_subfield(self, x, d):
-        """True iff x lies in the subfield GF(p^d); requires d | m."""
-        if self.m % d:
-            raise ValueError(f"degree {d} does not divide {self.m}")
-        return self.frobenius(x, d) == x
-
     def subfield_units(self, d):
         """The unit group of the GF(p^d) copy inside this field, as a list."""
         assert self.m % d == 0

@@ -19,8 +19,8 @@ in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
 self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
 Frobenius image.  Each answer names the image's orbit as (class, quad) from
 a canonical-form witness carrying its second member onto a representative.
-The records run canonical_form once per orbit, on x, and once per class, on
-the inverted representative; those witnesses name all three image pairs.
+The records take the class of x from twisted_class, and run canonical_form
+once per class, on the inverted representative, and on x only in y's class.
 Fusion runs canonical_form once per class and Frobenius power, on the image
 of the representative, and names each image pair from it.  Only the records
 read an orbit's member list; Galois fusion bundles the records, naming each
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 from .canonical import (CanonClass, all_classes, canonical_form,
                         canonical_order, canonical_rep, is_exceptional,
-                        stabilizer_elements)
+                        stabilizer_elements, twisted_class)
 from .gfield import make_field
 from .numth import divisors, odd_part, odd_prime_power
 from .twisted_group import TwElem, conjugate, mat_frob, mat_inv, order
@@ -422,41 +422,36 @@ class OrbitRec:
     neg_selfdual: bool
 
 
-def _record_for(F, cls, orbit, orders, inverses):
-    """The record of one orbit.  orders maps each class to the order of its
-    representative, which every member of the class shares; inverses maps
-    each class c to (c*, w*) = canonical_form(rep(c)^-1).
+def _record_for(F, cls, orbit, w_inv):
+    """The record of one orbit.  w_inv is the witness of
+    canonical_form(rep(cls)^-1), whose class orbit_records asserts is cls.
 
-    One canonical form per orbit, (c_x, w_x) of x, names all three image
-    pairs together with the per-class pairs.  y is rep(cls), so (x^-1, y^-1)
-    is named by inverses[cls], and (y, x) by (c_x, w_x).  conjugate(x, w_x)
-    is rep(c_x), so w_x carries x^-1 onto rep(c_x)^-1, which w_x* carries
-    onto rep(c_x*): (y^-1, x^-1) is named by (c_x*, w_x w_x*), a witness
-    no canonical_form returned, so it is checked here as canonical_form
-    checks its own.  Each key is built in full before it is compared with
-    this orbit."""
-    pair = quad_pair(F, cls, orbit[0])
-    x, y = pair
+    y is rep(cls), so w_inv names (x^-1, y^-1).  k is the order of x's
+    class c_x, read by twisted_class.  (y, x) lies in class c_x, and
+    (y^-1, x^-1) in the class of rep(c_x)^-1, which is c_x again, so either
+    can be this orbit only when c_x = cls, and only then does
+    canonical_form(x) run.  conjugate(x, w_x) is y, so w_x names (y, x) and
+    carries x^-1 onto y^-1, which w_inv carries onto y: (y^-1, x^-1) is
+    named by w_x w_inv, a witness no canonical_form returned, so it is
+    checked here as canonical_form checks its own."""
+    x, y = quad_pair(F, cls, orbit[0])
     members = set(orbit)
-
-    def same_map(key):
-        return key[0] == cls and key[1] in members
-
-    c_x, w_x = canonical_form(x)
-    k, l = orders[c_x], orders[cls]
-    neg_selfdual = False
-    if k == l:
-        c_xi, w_xi = inverses[c_x]
-        w = w_x * w_xi
-        assert conjugate(x.inv(), w) == canonical_rep(c_xi, F), \
+    q = F.p ** (F.m // 2)
+    c_x = twisted_class(x)
+    pos_selfdual = neg_selfdual = False
+    if c_x == cls:
+        _, w_x = canonical_form(x)
+        w = w_x * w_inv
+        assert conjugate(x.inv(), w) == y, \
             "derived witness must carry x^-1 onto its representative"
-        neg_selfdual = same_map(_witness_key(F, c_xi, w, y.inv()))
+        pos_selfdual = _witness_key(F, cls, w_x, y)[1] in members
+        neg_selfdual = _witness_key(F, cls, w, y.inv())[1] in members
     return OrbitRec(
         form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
-        level=generated_level(pair), k=k, l=l,
-        reflexible=same_map(_witness_key(F, *inverses[cls], x.inv())),
-        pos_selfdual=same_map(_witness_key(F, c_x, w_x, y)),
-        neg_selfdual=neg_selfdual,
+        level=generated_level((x, y)), k=canonical_order(c_x, q),
+        l=canonical_order(cls, q),
+        reflexible=_witness_key(F, cls, w_inv, x.inv())[1] in members,
+        pos_selfdual=pos_selfdual, neg_selfdual=neg_selfdual,
     )
 
 
@@ -464,13 +459,12 @@ def orbit_records(q, orbits):
     """Deterministically ordered OrbitRec rows for every orbit at one q."""
     p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
-    reps = {cls: canonical_rep(cls, F) for cls in all_classes(q)}
-    orders = {cls: order(y) for cls, y in reps.items()}
-    inverses = {cls: canonical_form(y.inv()) for cls, y in reps.items()}
-    recs = [_record_for(F, cls, orbit, orders, inverses)
-            for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
-    recs.sort()
-    return recs
+    recs = []
+    for cls, cls_orbits in orbits.items():
+        c_inv, w_inv = canonical_form(canonical_rep(cls, F).inv())
+        assert c_inv == cls, "rep(c)^-1 must lie in class c"
+        recs += (_record_for(F, cls, orbit, w_inv) for orbit in cls_orbits)
+    return sorted(recs)
 
 
 def fused_records(bundles):

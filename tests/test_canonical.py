@@ -59,6 +59,14 @@ def test_representative_orders_match_formula():
             rep = cn.canonical_rep(c, F)
             assert naive_order(rep) == cn.canonical_order(c, q)
             assert cn.canonical_order(c, q) % 4 == 0
+    # the class read from the roots names each representative and its
+    # inverse at every odd prime power q <= 27
+    for (p, f) in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1),
+                   (19, 1), (23, 1), (5, 2), (3, 3)]:
+        F = make_field(p, 2 * f)
+        for c in cn.all_classes(p ** f):
+            rep = cn.canonical_rep(c, F)
+            assert cn.twisted_class(rep) == cn.twisted_class(rep.inv()) == c
 
 
 def test_canonical_form_partitions_twisted_coset_q3(F9):
@@ -66,6 +74,7 @@ def test_canonical_form_partitions_twisted_coset_q3(F9):
     for x in all_group_elements(F9, "G"):
         if x.i == 1:
             c, _ = cn.canonical_form(x)
+            assert cn.twisted_class(x) == c
             tally[c] += 1
     assert tally == {c: cn.class_size(c, 3) for c in cn.all_classes(3)}
 
@@ -75,6 +84,7 @@ def test_canonical_form_partitions_twisted_coset_q5(F25):
     for x in all_group_elements(F25, "G"):
         if x.i == 1:
             c, _ = cn.canonical_form(x)
+            assert cn.twisted_class(x) == c
             tally[c] += 1
     assert tally == {c: cn.class_size(c, 5) for c in cn.all_classes(5)}
 
@@ -90,12 +100,13 @@ def test_witness_conjugates_onto_representative():
 
 
 def test_canonical_form_rejects_untwisted(F9):
-    with pytest.raises(AssertionError):
-        cn.canonical_form(tg.identity(F9))
     # twist bit 1 but square determinant: lies outside the twisted group
     x = tg.TwElem(F9, (1, 0, 0, 1), 1)
-    with pytest.raises(AssertionError):
-        cn.canonical_form(x)
+    for classify in (cn.canonical_form, cn.twisted_class):
+        with pytest.raises(AssertionError):
+            classify(tg.identity(F9))
+        with pytest.raises(AssertionError):
+            classify(x)
 
 
 def test_stabilizer_elements_fix_representative():
@@ -146,11 +157,13 @@ def test_distinct_eigenvalue_dichotomy_sampled():
         det = tg.mat_det(F, M)
         disc = F.sub(F.mul(tr, tr), F.mul(4 % 3, det))
         assert disc != 0
-        assert F.in_subfield(tr, f) and F.in_subfield(det, f)
+        assert F.frobenius(tr, f) == tr and F.frobenius(det, f) == det
         c, _ = cn.canonical_form(x)
-        in_f0 = disc != 0 and F.in_subfield(disc, f) and F.is_square(disc) and \
-            F.in_subfield(F.sqrt(disc), f)
+        root = F.sqrt(disc)
+        in_f0 = disc != 0 and F.frobenius(disc, f) == disc and \
+            F.is_square(disc) and F.frobenius(root, f) == root
         assert (c.form == "dia") == in_f0
+        assert cn.canonical_order(cn.twisted_class(x), 9) == tg.order(x)
 
 
 def test_twisted_conjugate_test_full_q3(F9):
