@@ -16,15 +16,15 @@ from .census import (count_generating_orbits, count_maps,
 from .gfield import Field, ResourceLimitError, make_field
 from .oracle import (OrbitRec, enumerate_orbits, fused_records, galois_fuse,
                      generated_level, orbit_records, selfdual_cells)
-from .twisted_group import TwElem, conjugate, group_order, identity, order
+from .twisted_group import TwElem, conjugate, group_order, order
 
 __all__ = [
     "CanonClass", "Field", "OrbitRec", "ResourceLimitError", "TwElem",
     "all_classes", "canonical_form", "canonical_order", "canonical_rep",
     "class_size", "conjugate", "count_generating_orbits", "count_maps",
     "count_reflexible_maps", "enumerate_orbits", "fused_records",
-    "galois_fuse", "generated_level", "group_order", "identity",
-    "is_exceptional", "make_field", "orbit_counts", "orbit_records", "order",
+    "galois_fuse", "generated_level", "group_order", "is_exceptional",
+    "make_field", "orbit_counts", "orbit_records", "order",
     "reflexible_orbit_counts", "selfdual_cells", "stabilizer_elements",
     "stabilizer_size", "total_orbits", "total_reflexible_orbits",
     "twisted_divisors", "type_obstruction",

@@ -28,9 +28,9 @@ image's record as a record is named, (class, least quad).  orbit_walker is
 the one walk of an orbit: the partition runs it from each unseen quad,
 fusion from each Frobenius image.
 
-generated_level names the subfield level a pair generates: element orders
-screen, and a closure capped just past the largest proper subgroup order
-decides every pair that passes the screen.
+generated_level names the subfield level a pair generates: the orders a
+record reads from its classes screen, and a closure capped just past the
+largest proper subgroup order decides every pair that passes the screen.
 
 closure_order builds the subgroup a pair generates without TwElem products:
 an element [A, i] is the two rows of A as points of the projective line
@@ -51,7 +51,7 @@ from .canonical import (CanonClass, all_classes, canonical_form,
                         stabilizer_elements, twisted_class)
 from .gfield import make_field
 from .numth import divisors, odd_part, odd_prime_power
-from .twisted_group import TwElem, conjugate, mat_frob, mat_inv, order
+from .twisted_group import TwElem, conjugate, mat_frob, mat_inv
 
 
 def _lam_sigma(F, cls):
@@ -254,20 +254,20 @@ def orbit_count_summary(q, orbits):
 # ---------------------------------------------------------------------------
 # which twisted subgroup a pair generates
 
-def generated_level(pair):
+def generated_level(pair, orders):
     """Smallest admissible exponent e such that the pair generates a copy of
-    the twisted group over GF(p^{2e}).
+    the twisted group over GF(p^{2e}); orders are the pair's element orders,
+    which a record reads from the classes of x and y.
 
-    Element orders screen and a closure decides.  A pair inside a copy
-    over GF(p^{2e}) is a pair of its twisted elements, so both orders are
+    The orders screen and a closure decides.  A pair inside a copy over
+    GF(p^{2e}) is a pair of its twisted elements, so both orders are
     among that copy's class orders; a pair failing this for every proper e
     is at level f.  A passing pair goes to a closure capped just past the
     largest proper subgroup order.  The generated subgroup is a twisted
     group of known order, so the closure's size names the level, and a
     closure past the cap means level f.
     """
-    x, y = pair
-    F = x.F
+    F = pair[0].F
     f = F.m // 2
     alpha, o = odd_part(f)
     proper = [2 ** alpha * d for d in divisors(o)[:-1]]
@@ -276,7 +276,7 @@ def generated_level(pair):
     p = F.p
     screens = ({canonical_order(c, p ** e) for c in all_classes(p ** e)}
                for e in proper)
-    if not any(all(order(z) in s for z in pair) for s in screens):
+    if not any(all(k in s for k in orders) for s in screens):
         return f
     sizes = {p ** (2 * e) * (p ** (4 * e) - 1): e for e in proper}
     try:
@@ -427,17 +427,19 @@ def _record_for(F, cls, orbit, w_inv):
     canonical_form(rep(cls)^-1), whose class orbit_records asserts is cls.
 
     y is rep(cls), so w_inv names (x^-1, y^-1).  k is the order of x's
-    class c_x, read by twisted_class.  (y, x) lies in class c_x, and
-    (y^-1, x^-1) in the class of rep(c_x)^-1, which is c_x again, so either
-    can be this orbit only when c_x = cls, and only then does
-    canonical_form(x) run.  conjugate(x, w_x) is y, so w_x names (y, x) and
-    carries x^-1 onto y^-1, which w_inv carries onto y: (y^-1, x^-1) is
-    named by w_x w_inv, a witness no canonical_form returned, so it is
-    checked here as canonical_form checks its own."""
+    class c_x, read by twisted_class, and l that of cls; the level screen
+    takes both.  (y, x) lies in class c_x, and (y^-1, x^-1) in the class of
+    rep(c_x)^-1, which is c_x again, so either can be this orbit only when
+    c_x = cls, and only then does canonical_form(x) run.  conjugate(x, w_x)
+    is y, so w_x names (y, x) and carries x^-1 onto y^-1, which w_inv
+    carries onto y: (y^-1, x^-1) is named by w_x w_inv, a witness no
+    canonical_form returned, so it is checked here as canonical_form checks
+    its own."""
     x, y = quad_pair(F, cls, orbit[0])
     members = set(orbit)
     q = F.p ** (F.m // 2)
     c_x = twisted_class(x)
+    k, l = canonical_order(c_x, q), canonical_order(cls, q)
     pos_selfdual = neg_selfdual = False
     if c_x == cls:
         _, w_x = canonical_form(x)
@@ -448,8 +450,7 @@ def _record_for(F, cls, orbit, w_inv):
         neg_selfdual = _witness_key(F, cls, w, y.inv())[1] in members
     return OrbitRec(
         form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
-        level=generated_level((x, y)), k=canonical_order(c_x, q),
-        l=canonical_order(cls, q),
+        level=generated_level((x, y), (k, l)), k=k, l=l,
         reflexible=_witness_key(F, cls, w_inv, x.inv())[1] in members,
         pos_selfdual=pos_selfdual, neg_selfdual=neg_selfdual,
     )
@@ -475,10 +476,8 @@ def fused_records(bundles):
     for bundle in bundles:
         head = bundle[0]
         for m in bundle[1:]:
-            assert (m.form, m.k, m.l, m.level, m.reflexible, m.pos_selfdual,
-                    m.neg_selfdual) == (head.form, head.k, head.l, head.level,
-                                        head.reflexible, head.pos_selfdual,
-                                        head.neg_selfdual), "bundle flags differ"
+            assert replace(m, i=head.i, key=head.key, size=head.size) == head, \
+                "bundle flags differ"
         out.append(replace(head, size=sum(m.size for m in bundle)))
     return out
 

@@ -16,8 +16,6 @@ Matrices are 4-tuples (a, b, c, d) of field ints, row-major.
 
 from math import gcd
 
-from .numth import factorize
-
 
 # ---------------------------------------------------------------------------
 # 2x2 matrix helpers over a Field
@@ -100,18 +98,6 @@ class TwElem:
             P = mat_frob(F, P, F.m // 2)
         return TwElem(F, mat_inv(F, P), self.i)
 
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        r = identity(self.F)
-        base = self
-        while e:
-            if e & 1:
-                r = r * base
-            base = base * base
-            e >>= 1
-        return r
-
     def is_identity(self):
         return self.i == 0 and self.matrix == (1, 0, 0, 1)
 
@@ -125,10 +111,6 @@ class TwElem:
     def __repr__(self):
         F = self.F
         return f"[{tuple(F.coeffs(x) for x in self.matrix)}, {self.i}]"
-
-
-def identity(F):
-    return TwElem(F, (1, 0, 0, 1), 0)
 
 
 def iota(F, A):
@@ -155,21 +137,17 @@ def group_order(F, which="G"):
 
 
 def order(x):
-    """Element order.  A twisted x = [A, 1] squares to [M, 0], and when the
-    characteristic roots l1, l2 of M are distinct, M is projectively
-    dia(l1/l2, 1), so order(x) = 2 ord(l1/l2).  Untwisted elements and a
-    repeated root take exponent descent from the ambient group order."""
+    """Order of a twisted x = [A, 1].  x squares to [M, 0], M = A A^sigma,
+    and when the characteristic roots l1, l2 of M are distinct, M is
+    projectively dia(l1/l2, 1), so order(x) = 2 ord(l1/l2).  An untwisted x
+    or a repeated root, which only elements of Gbar outside G have, raises
+    ValueError; tests/reference.py::naive_order takes any element."""
     F = x.F
-    if x.i:
-        roots = char_roots(F, mat_mul(F, x.matrix,
-                                      mat_frob(F, x.matrix, F.m // 2)))
-        if roots:
-            n = F.size - 1
-            return 2 * n // gcd(n, F.dlog(F.div(*roots)))
-    e = group_order(F, "Gbar")
-    o = e
-    for r, _ in factorize(e):
-        while o % r == 0 and (x ** (o // r)).is_identity():
-            o //= r
-    return o
-
+    if not x.i:
+        raise ValueError("order needs a twisted element")
+    roots = char_roots(F, mat_mul(F, x.matrix,
+                                  mat_frob(F, x.matrix, F.m // 2)))
+    if roots is None:
+        raise ValueError("A A^sigma has a repeated root")
+    n = F.size - 1
+    return 2 * n // gcd(n, F.dlog(F.div(*roots)))

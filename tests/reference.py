@@ -5,8 +5,9 @@ No CLI path and no benchmark leg runs any of these.  They stand beside the
 package as slow, direct recomputations: the conjugator searches witness what
 the orbit records answer by lookup, the record builder names every image
 pair with its own canonical form, the closure multiplies TwElems where
-oracle.closure_order steps rows through tables, and the enumerators walk a
-whole group for exhaustive checks at tiny q.
+oracle.closure_order steps rows through tables, the enumerators walk a
+whole group for exhaustive checks at tiny q, and naive_order takes any
+element where twisted_group.order takes only twisted ones.
 """
 
 from twistedmaps.canonical import (all_classes, canonical_form,
@@ -15,8 +16,7 @@ from twistedmaps.gfield import make_field
 from twistedmaps.numth import odd_prime_power
 from twistedmaps.oracle import (OrbitRec, _witness_key, generated_level,
                                 quad_pair)
-from twistedmaps.twisted_group import (TwElem, conjugate, identity, iota,
-                                       mat_det, order)
+from twistedmaps.twisted_group import TwElem, conjugate, iota, mat_det, order
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def _record_by_pair_key(F, cls, orbit, orders):
     k, l = orders[dual[0]], orders[cls]
     return OrbitRec(
         form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
-        level=generated_level(pair), k=k, l=l,
+        level=generated_level(pair, (k, l)), k=k, l=l,
         reflexible=same_map(pair_key(F, xi, yi)),
         pos_selfdual=same_map(dual),
         neg_selfdual=k == l and same_map(pair_key(F, yi, xi)),
@@ -125,14 +125,13 @@ def closure_by_products(pair, cap=10 ** 6):
     """The subgroup generated by the pair, as a set of TwElems, by
     breadth-first closure over positive words (in a finite group they
     already form the subgroup)."""
-    x, y = pair
-    gens = (x, y)
-    seen = {identity(x.F)}
-    frontier = [identity(x.F)]
+    start = TwElem(pair[0].F, (1, 0, 0, 1), 0)  # the identity
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for z in frontier:
-            for g in gens:
+            for g in pair:
                 w = z * g
                 if w not in seen:
                     seen.add(w)
@@ -147,6 +146,8 @@ def closure_by_products(pair, cap=10 ** 6):
 # whole-group enumerators
 
 def naive_order(x, cap=10 ** 6):
+    """Order of any element of Gbar by repeated products; the reference for
+    twisted_group.order, which takes only twisted elements of G."""
     acc = x
     k = 1
     while not acc.is_identity():

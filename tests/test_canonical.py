@@ -104,7 +104,7 @@ def test_canonical_form_rejects_untwisted(F9):
     x = tg.TwElem(F9, (1, 0, 0, 1), 1)
     for classify in (cn.canonical_form, cn.twisted_class):
         with pytest.raises(AssertionError):
-            classify(tg.identity(F9))
+            classify(tg.TwElem(F9, (1, 0, 0, 1), 0))  # the identity
         with pytest.raises(AssertionError):
             classify(x)
 

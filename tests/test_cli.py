@@ -217,7 +217,7 @@ def test_verify_bruteforce_at_the_cap(capsys, q, checks):
 def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     calls = dict.fromkeys(("enumerate_orbits", "orbit_partition",
                            "_record_for", "galois_fuse", "canonical_form",
-                           "order"), 0)
+                           "twisted_class"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(oracle, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -227,13 +227,14 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     code, _, _ = run(capsys, ["verify", "--q", "9", "--level", "bruteforce"])
     assert code == 0
     # one canonical form per orbit whose x shares y's class (162 of 790),
-    # one per class, and in fusion one per class and Frobenius power; no
-    # order() call, as records read orders from classes
+    # one per class, and in fusion one per class and Frobenius power; one
+    # twisted_class per record, whose class order the record and its level
+    # screen both read
     assert calls == {"enumerate_orbits": 1,
                      "orbit_partition": len(all_classes(9)),
                      "_record_for": 790, "galois_fuse": 1,
                      "canonical_form": 162 + len(all_classes(9))
-                     + len(all_classes(9)), "order": 0}
+                     + len(all_classes(9)), "twisted_class": 790}
 
     calls.update(dict.fromkeys(calls, 0))
     code, out, _ = run(capsys, ["verify", "--q", "3", "--level",
@@ -243,13 +244,14 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     assert calls == {"enumerate_orbits": 1,
                      "orbit_partition": len(all_classes(3)),
                      "_record_for": 7, "galois_fuse": 0,
-                     "canonical_form": 3 + len(all_classes(3)), "order": 0}
+                     "canonical_form": 3 + len(all_classes(3)),
+                     "twisted_class": 7}
 
 
 def test_fusion_size_violations_are_counted(capsys, monkeypatch):
     # at q=9 every orbit generates (level 2) and every bundle has two
     # members; records that claim level 1 make each bundle one too large
-    monkeypatch.setattr(oracle, "generated_level", lambda pair: 1)
+    monkeypatch.setattr(oracle, "generated_level", lambda pair, orders: 1)
     code, out, _ = run(capsys, ["verify", "--q", "9", "--level",
                                 "bruteforce"])
     assert code == 1

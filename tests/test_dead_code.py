@@ -1,8 +1,10 @@
-"""Every module-level function and class in the package has a caller, and
-every name a package module imports is used by that module.  The test
-references live in tests/reference.py and nowhere in the package."""
+"""Every module-level function and class in the package has a caller, so
+does every method of a package class, and every name a package module
+imports is used by that module.  The test references live in
+tests/reference.py and nowhere in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import twistedmaps
@@ -16,9 +18,17 @@ PERFBENCH = TESTS.parent / "perfbench"
 # reads it, so it stays in the package for as long as that probe does
 NO_SRC_CALLER = {"act_quad"}
 
+# no package code calls these methods; each stays for the reader named
+UNCALLED_METHODS = {
+    # tests, the field-tower demo and the planned subfield-embedding level
+    "Field.embed_from": TESTS.parent / "demos" / "field_tower.py",
+    # the reference order by repeated products stops on it
+    "TwElem.is_identity": TESTS / "reference.py",
+}
+
 # perfbench wraps these oracle attributes, though the package dropped them;
 # their metrics read 0
-GONE_STAGES = {"is_reflexible", "self_duality"}
+GONE_STAGES = {"is_reflexible", "self_duality", "order"}
 
 
 def _sources(root=SRC):
@@ -67,6 +77,17 @@ def _traced_oracle_names(code):
             | set(ast.literal_eval(values["ORACLE_IMPORTS"])))
 
 
+def _reads(node):
+    """How often node reads each name, as a name or an attribute."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+    return out
+
+
 def _uncalled(sources):
     """Module-level functions and classes of sources ({file: code}) that no
     code other than their own body names, as a name or an attribute."""
@@ -78,16 +99,21 @@ def _uncalled(sources):
                                  ast.ClassDef)):
                 owner = node.name
                 defined.add(owner)
-            for n in ast.walk(node):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-                    name = n.id
-                elif isinstance(n, ast.Attribute):
-                    name = n.attr
-                else:
-                    continue
-                if name != owner:
-                    used.add(name)
+            used |= set(_reads(node)) - {owner}
     return defined - used - set(twistedmaps.__all__)
+
+
+def _uncalled_methods(sources):
+    """"Class.method" for each non-dunder method of a module-level class of
+    sources ({file: code}) that no code other than its own body names."""
+    trees = [ast.parse(code) for code in sources.values()]
+    reads = sum(map(_reads, trees), Counter())
+    return {"%s.%s" % (cls.name, m.name)
+            for tree in trees for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for m in cls.body
+            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not m.name.startswith("__")
+            and reads[m.name] == _reads(m)[m.name]}
 
 
 def _unused_imports(sources):
@@ -124,6 +150,27 @@ def test_guard_flags_a_quad_helper_left_without_a_caller():
         sources["oracle.py"] += "\n\n" + stale
         name = stale[4:stale.index("(")]
         assert _uncalled(sources) == NO_SRC_CALLER | {name}
+
+
+def test_every_package_method_has_a_caller():
+    assert _uncalled_methods(_sources()) == set(UNCALLED_METHODS)
+
+
+def test_guard_flags_a_method_left_without_a_caller():
+    sources = _sources()
+    sources["twisted_group.py"] = sources["twisted_group.py"].replace(
+        "    def inv(self):\n",
+        "    def square(self):\n"
+        "        return self.square() if self.i else self * self\n\n"
+        "    def inv(self):\n", 1)
+    assert _uncalled_methods(sources) == set(UNCALLED_METHODS) | {
+        "TwElem.square"}
+
+
+def test_each_allowlisted_method_is_read_by_its_reader():
+    for name, path in UNCALLED_METHODS.items():
+        code = path.read_text(encoding="utf-8")
+        assert _reads(ast.parse(code))[name.split(".")[1]], name
 
 
 def test_each_allowlisted_name_is_read_by_perfbench():

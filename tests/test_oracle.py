@@ -29,8 +29,8 @@ from twistedmaps.twisted_group import (TwElem, conjugate, mat_frob, mat_mul,
                                        order)
 
 from reference import (all_group_elements, brute_reflexible,
-                       closure_by_products, is_reflexible, pair_key,
-                       records_by_pair_key, self_duality)
+                       closure_by_products, is_reflexible, naive_order,
+                       pair_key, records_by_pair_key, self_duality)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -514,7 +514,7 @@ def test_embedded_subfield_pairs_sit_at_level_one(F9, orbits3):
         for orbit in cls_orbits:
             x, y = quad_pair(F9, cls, orbit[0])
             pair = (lift(x), lift(y))
-            assert generated_level(pair) == 1
+            assert generated_level(pair, [order(z) for z in pair]) == 1
             assert closure_order(pair) == 720
 
 
@@ -526,7 +526,7 @@ def test_generic_pair_at_q27_sits_at_level_three(monkeypatch):
     # orders 52 and 52, neither a twisted order over GF(9): no closure
     assert [order(z) for z in pair] == [52, 52]
     calls = _count_calls(monkeypatch, oracle, "closure_order")
-    assert generated_level(pair) == 3
+    assert generated_level(pair, (52, 52)) == 3
     assert calls[0] == 0
 
 
@@ -547,8 +547,26 @@ def test_orders_screen_and_the_closure_decides_at_q27(
     assert index == min(k for k, qd in enumerate(quads)
                         if order(quad_pair(Fbig, cls, qd)[0]) in (4, 8))
     calls = _count_calls(monkeypatch, oracle, "closure_order")
-    assert generated_level(quad_pair(Fbig, cls, quad)) == level
+    pair = quad_pair(Fbig, cls, quad)
+    assert generated_level(pair, [order(z) for z in pair]) == level
     assert calls[0] == 1
+
+
+def test_records_hand_the_level_screen_their_element_orders(monkeypatch,
+                                                           orbits9):
+    # every q <= 25 returns before the screen reads the orders, so check
+    # the orders each record passes against the root formula
+    real = oracle.generated_level
+    calls = []
+
+    def checked(pair, orders):
+        assert list(orders) == [order(z) for z in pair]
+        calls.append(pair)
+        return real(pair, orders)
+
+    monkeypatch.setattr(oracle, "generated_level", checked)
+    orbit_records(9, orbits9)
+    assert len(calls) == 790
 
 
 def test_galois_fusion_at_q9(records9):
@@ -637,13 +655,13 @@ def test_record_types_respect_the_order_obstruction(orbits3, orbits5,
 
 def test_record_types_agree_with_map_type(F9, F25, F81, orbits3, orbits5,
                                          records9):
-    # the type (k, l) is read from a per-class order table; recompute both
-    # orders of every representative pair by exponent descent
+    # the type (k, l) is read from the orders of the two classes; recompute
+    # both orders of every representative pair by repeated products
     for F, recs in ((F9, orbit_records(3, orbits3)),
                     (F25, orbit_records(5, orbits5)), (F81, records9)):
         for r in recs:
             x, y = quad_pair(F, CanonClass(r.form, r.i), r.key)
-            assert (r.k, r.l) == (order(x), order(y))
+            assert (r.k, r.l) == (naive_order(x), naive_order(y))
             xy = x * y
             assert not xy.is_identity() and (xy * xy).is_identity()
 

@@ -87,26 +87,46 @@ def test_singular_and_zero_matrices_rejected(F9):
         tg.TwElem(F9, (1, 1, 1, 1), 0)
 
 
+def _check_order(x):
+    """order(x) equals naive_order(x) on a twisted x, and an untwisted x
+    raises ValueError."""
+    if x.i:
+        assert tg.order(x) == naive_order(x)
+    else:
+        with pytest.raises(ValueError, match="twisted element"):
+            tg.order(x)
+
+
 def test_order_matches_naive_everywhere_q3(F9):
     for x in all_group_elements(F9, "G"):
-        assert tg.order(x) == naive_order(x)
+        _check_order(x)
 
 
 def test_order_matches_naive_sampled_q5(F25):
     rng = random.Random(6)
     pool = [x for x in all_group_elements(F25, "G") if rng.random() < 0.03]
+    assert {x.i for x in pool} == {0, 1}
     for x in pool:
-        assert tg.order(x) == naive_order(x)
+        _check_order(x)
 
 
 def test_twisted_order_from_eigenvalues_matches_naive(F9, F25):
-    # every twisted element of Gbar at q = 3 (those of G, and x with a
-    # repeated root of A A^sigma, which take exponent descent) and of G at
-    # q = 5
+    # every twisted element of Gbar at q = 3 and of G at q = 5; the 270 at
+    # q = 3 whose A A^sigma has a repeated root all lie outside G and raise
+    repeated = 0
     for F, which in ((F9, "Gbar"), (F25, "G")):
         for x in all_group_elements(F, which):
-            if x.i == 1:
+            if x.i == 0:
+                continue
+            M = tg.mat_mul(F, x.matrix, tg.mat_frob(F, x.matrix, 1))
+            if tg.char_roots(F, M) is None:
+                assert not tg.in_G(x)
+                with pytest.raises(ValueError, match="repeated root"):
+                    tg.order(x)
+                repeated += 1
+            else:
                 assert tg.order(x) == naive_order(x)
+    assert repeated == 270
 
 
 def test_twisted_element_orders_divisible_by_four_q3(F9):
@@ -139,15 +159,3 @@ def test_sigma_conjugation_is_entrywise_frobenius(F9):
     for _ in range(100):
         x = rng.choice(els)
         assert tg.conjugate(x, s) == tg.TwElem(F9, tg.mat_frob(F9, x.matrix, 1), x.i)
-
-
-def test_power_consistency(F9):
-    rng = random.Random(9)
-    els = list(all_group_elements(F9, "Gbar"))
-    for _ in range(50):
-        x = rng.choice(els)
-        acc = tg.identity(F9)
-        for k in range(7):
-            assert x ** k == acc
-            acc = acc * x
-        assert x ** -3 == (x.inv()) ** 3
