@@ -89,8 +89,7 @@ def _class_of_square(x):
     assert x.i == 1 and in_G(x), "canonical form needs a twisted group element"
     f = F.m // 2
     q = F.p ** f
-    M = mat_mul(F, x.matrix, mat_frob(F, x.matrix, f))
-    roots = char_roots(F, M)
+    M, roots = char_roots(x)
     assert roots is not None, "characteristic roots must be distinct"
     l1, l2 = roots
     dia = F.frobenius(l1, f) == l1

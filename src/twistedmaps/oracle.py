@@ -18,12 +18,12 @@ A map is an orbit, so every per-map question is whether some image pair lies
 in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
 self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
 Frobenius image.  Each answer names the image's orbit as (class, quad) from
-a canonical-form witness carrying its second member onto a representative.
+a conjugator carrying its second member onto a representative: one fixed
+matrix for every inverse pair (_inverse_quad), else a canonical-form witness.
 The records take the class of x from twisted_class, and run canonical_form
-once per class, on the inverted representative, and on x only in y's class.
-Fusion runs canonical_form once per class and Frobenius power, on the image
-of the representative, and names each image pair from it.  Only the records
-read an orbit's member list; Galois fusion bundles the records, naming each
+only on x in y's class.  Fusion runs canonical_form once per class and
+Frobenius power, on the image of the representative.  Only the records read
+an orbit's member list; Galois fusion bundles the records, naming each
 image's record as a record is named, (class, least quad).  orbit_walker is
 the one walk of an orbit: the partition runs it from each unseen quad,
 fusion from each Frobenius image.
@@ -105,6 +105,19 @@ def _witness_key(F, cls, w, first):
     the class of second and a witness w with conjugate(second, w) equal to
     that class's representative: the quad of first conjugated by w."""
     return cls, matrix_quad(F, cls, conjugate(first, w).matrix)
+
+
+def _inverse_quad(F, cls, quad):
+    """Quad of the inverse pair (x^-1, y^-1) of the pair a quad encodes.
+    [D, 0], D = off(1, 1/lam), conjugates y^-1 = rep(cls)^-1 onto rep(cls)
+    for both forms, and x^-1 = [adj(A)^sigma, 1] onto D^-1 adj(A)^sigma
+    D^sigma = (lam a, -lam ls c, -b, ls d) up to scale, with (a, b, c, d) =
+    A^sigma and ls = lam^sigma.  Conjugators of y^-1 onto y differ by an
+    element of y's stabilizer, so any one of them names the same orbit."""
+    a, b, c, d = mat_frob(F, quad_matrix(F, cls, quad), F.m // 2)
+    lam, ls = F.pow(F.xi, cls.i), _lam_sigma(F, cls)
+    return matrix_quad(F, cls, (F.mul(lam, a), F.neg(F.mul(F.mul(lam, ls), c)),
+                                F.neg(b), F.mul(ls, d)))
 
 
 def class_quads(F, cls):
@@ -422,19 +435,12 @@ class OrbitRec:
     neg_selfdual: bool
 
 
-def _record_for(F, cls, orbit, w_inv):
-    """The record of one orbit.  w_inv is the witness of
-    canonical_form(rep(cls)^-1), whose class orbit_records asserts is cls.
-
-    y is rep(cls), so w_inv names (x^-1, y^-1).  k is the order of x's
-    class c_x, read by twisted_class, and l that of cls; the level screen
-    takes both.  (y, x) lies in class c_x, and (y^-1, x^-1) in the class of
-    rep(c_x)^-1, which is c_x again, so either can be this orbit only when
-    c_x = cls, and only then does canonical_form(x) run.  conjugate(x, w_x)
-    is y, so w_x names (y, x) and carries x^-1 onto y^-1, which w_inv
-    carries onto y: (y^-1, x^-1) is named by w_x w_inv, a witness no
-    canonical_form returned, so it is checked here as canonical_form checks
-    its own."""
+def _record_for(F, cls, orbit):
+    """The record of one orbit.  k and l are the orders of x's class c_x,
+    read by twisted_class, and of cls; the level screen takes both.
+    _inverse_quad names (x^-1, y^-1).  (y, x) and (y^-1, x^-1) lie in c_x,
+    so only when c_x = cls can they be this orbit and does canonical_form(x)
+    run; its witness names (y, x), whose _inverse_quad is (y^-1, x^-1)."""
     x, y = quad_pair(F, cls, orbit[0])
     members = set(orbit)
     q = F.p ** (F.m // 2)
@@ -442,16 +448,13 @@ def _record_for(F, cls, orbit, w_inv):
     k, l = canonical_order(c_x, q), canonical_order(cls, q)
     pos_selfdual = neg_selfdual = False
     if c_x == cls:
-        _, w_x = canonical_form(x)
-        w = w_x * w_inv
-        assert conjugate(x.inv(), w) == y, \
-            "derived witness must carry x^-1 onto its representative"
-        pos_selfdual = _witness_key(F, cls, w_x, y)[1] in members
-        neg_selfdual = _witness_key(F, cls, w, y.inv())[1] in members
+        dual = _witness_key(F, cls, canonical_form(x)[1], y)[1]
+        pos_selfdual = dual in members
+        neg_selfdual = _inverse_quad(F, cls, dual) in members
     return OrbitRec(
         form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
         level=generated_level((x, y), (k, l)), k=k, l=l,
-        reflexible=_witness_key(F, cls, w_inv, x.inv())[1] in members,
+        reflexible=_inverse_quad(F, cls, orbit[0]) in members,
         pos_selfdual=pos_selfdual, neg_selfdual=neg_selfdual,
     )
 
@@ -460,12 +463,8 @@ def orbit_records(q, orbits):
     """Deterministically ordered OrbitRec rows for every orbit at one q."""
     p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
-    recs = []
-    for cls, cls_orbits in orbits.items():
-        c_inv, w_inv = canonical_form(canonical_rep(cls, F).inv())
-        assert c_inv == cls, "rep(c)^-1 must lie in class c"
-        recs += (_record_for(F, cls, orbit, w_inv) for orbit in cls_orbits)
-    return sorted(recs)
+    return sorted(_record_for(F, cls, orbit)
+                  for cls, block in orbits.items() for orbit in block)
 
 
 def fused_records(bundles):

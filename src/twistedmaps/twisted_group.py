@@ -47,18 +47,20 @@ def mat_frob(F, X, k):
     return tuple(F.frobenius(x, k) for x in X)
 
 
-def char_roots(F, M):
-    """Roots (l1, l2) of the characteristic polynomial of M = A A^sigma, or
-    None for a repeated root.  x = [A, 1] squares to [M, 0], and the
-    polynomial has coefficients in GF(q), so its roots lie in F."""
+def char_roots(x):
+    """(M, roots): a twisted x = [A, 1] squares to [M, 0], M = A A^sigma,
+    and roots are the roots (l1, l2) of M's characteristic polynomial, or
+    None if repeated.  Its coefficients lie in GF(q), so its roots lie in F."""
+    F = x.F
+    M = mat_mul(F, x.matrix, mat_frob(F, x.matrix, F.m // 2))
     tr = F.add(M[0], M[3])
     disc = F.sub(F.mul(tr, tr), F.mul(4 % F.p, mat_det(F, M)))
     if disc == 0:
-        return None
+        return M, None
     s = F.sqrt(disc)
     assert s is not None, "characteristic roots must lie in the field"
     half = F.inv(2 % F.p)
-    return F.mul(F.add(tr, s), half), F.mul(F.sub(tr, s), half)
+    return M, (F.mul(F.add(tr, s), half), F.mul(F.sub(tr, s), half))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +147,7 @@ def order(x):
     F = x.F
     if not x.i:
         raise ValueError("order needs a twisted element")
-    roots = char_roots(F, mat_mul(F, x.matrix,
-                                  mat_frob(F, x.matrix, F.m // 2)))
+    _, roots = char_roots(x)
     if roots is None:
         raise ValueError("A A^sigma has a repeated root")
     n = F.size - 1

@@ -226,15 +226,15 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
 
     code, _, _ = run(capsys, ["verify", "--q", "9", "--level", "bruteforce"])
     assert code == 0
-    # one canonical form per orbit whose x shares y's class (162 of 790),
-    # one per class, and in fusion one per class and Frobenius power; one
-    # twisted_class per record, whose class order the record and its level
-    # screen both read
+    # one canonical form per orbit whose x shares y's class (162 of 790)
+    # and in fusion one per class and Frobenius power; one twisted_class
+    # per record, whose class order the record and its level screen both
+    # read.  Inverse pairs take no canonical form.
     assert calls == {"enumerate_orbits": 1,
                      "orbit_partition": len(all_classes(9)),
                      "_record_for": 790, "galois_fuse": 1,
-                     "canonical_form": 162 + len(all_classes(9))
-                     + len(all_classes(9)), "twisted_class": 790}
+                     "canonical_form": 162 + len(all_classes(9)),
+                     "twisted_class": 790}
 
     calls.update(dict.fromkeys(calls, 0))
     code, out, _ = run(capsys, ["verify", "--q", "3", "--level",
@@ -244,7 +244,7 @@ def test_bruteforce_runs_each_oracle_stage_once(capsys, monkeypatch):
     assert calls == {"enumerate_orbits": 1,
                      "orbit_partition": len(all_classes(3)),
                      "_record_for": 7, "galois_fuse": 0,
-                     "canonical_form": 3 + len(all_classes(3)),
+                     "canonical_form": 3,
                      "twisted_class": 7}
 
 

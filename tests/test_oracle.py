@@ -1,6 +1,7 @@
 """Brute-force layer: enumeration, partitions, searches, and the ways they
 corroborate the closed-form counts."""
 
+import hashlib
 import json
 import os
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from twistedmaps import oracle
+from twistedmaps import canonical, oracle
 from twistedmaps.canonical import (CanonClass, all_classes, canonical_order,
                                    is_exceptional, stabilizer_elements,
                                    stabilizer_size)
@@ -311,22 +312,47 @@ def test_record_flags_agree_with_conjugator_witnesses(orbits3, orbits5,
                 assert not r.pos_selfdual and not r.neg_selfdual
 
 
-def test_records_check_the_derived_negative_dual_witness(F25, orbits5):
-    # the negative dual key's witness w_x w_x* is a product no
-    # canonical_form returned; skewing the per-class witness w* must trip
-    # its check on each orbit that asks for negative self-duality, which
-    # is each orbit whose x shares y's class
-    skew = TwElem(F25, (F25.xi, 0, 0, 1), 0)
-    asked = 0
-    for cls, cls_orbits in orbits5.items():
-        _, w = oracle.canonical_form(oracle.canonical_rep(cls, F25).inv())
-        for orbit in cls_orbits:
-            x, _ = quad_pair(F25, cls, orbit[0])
-            if oracle.canonical_form(x)[0] == cls:
-                asked += 1
-                with pytest.raises(AssertionError, match="derived witness"):
-                    oracle._record_for(F25, cls, orbit, w * skew)
-    assert asked > 0
+def test_inverse_quad_names_the_inverse_pair_of_every_quad():
+    # records apply the map to the dual quad of (y, x) as well as to orbit
+    # heads, so check it on every quad: dia and off, generic and
+    # exceptional classes, and f = 2 at q = 9
+    kinds = set()
+    for p, f in ((3, 1), (5, 1), (7, 1), (3, 2)):
+        q, F = p ** f, make_field(p, 2 * f)
+        for cls in all_classes(q):
+            kinds.add((cls.form, is_exceptional(cls, q)))
+            walk = oracle.orbit_walker(F, cls)
+            for quad in class_quads(F, cls):
+                x, y = quad_pair(F, cls, quad)
+                c, ref = pair_key(F, x.inv(), y.inv())
+                inv = oracle._inverse_quad(F, cls, quad)
+                assert c == cls and inv in walk(ref)
+                assert oracle._inverse_quad(F, cls, inv) in walk(quad)
+    assert len(kinds) == 4
+
+
+def test_records_name_inverse_pairs_without_conjugation(monkeypatch,
+                                                        orbits9):
+    # only the 162 diagonal orbits conjugate: canonical_form checks its
+    # witness, and _witness_key names (y, x); inverse pairs take none
+    calls = [_count_calls(monkeypatch, module, "conjugate")
+             for module in (oracle, canonical)]
+    orbit_records(9, orbits9)
+    assert [c[0] for c in calls] == [162, 162]
+
+
+_RECORDS_SHA256 = {
+    3: "dcac0d0ac2be231ff341f7d9e808878998bd7dc5725775737e2b82065491b528",
+    5: "2b34826633fd9c752be8b36411cb6b5b981c5de63890dbaa3a0fbe30f28cbd0d",
+    7: "80fed82a4288f385fe0a3de4172e0a0145d32e39c3116a8b0574a1cbc0a55269",
+    9: "3b71758f4ff5c3f1202439b9e4f92641f40518470757f5af63ea82ed411f8d90",
+    11: "23c971c25c3b22febf447baae8f25471bf0cc5e7499e33f6258064ba83be05d0",
+    13: "81ee66a9e25715d2416015181f38193a9cdefdebc638da5559874b96c4e68827",
+    17: "1f06593c5cbaff1bd84e111a4719201f556677b623002de5866f782d6415c2a9",
+    19: "3290a18a9f415e246f566b7b2441211944d815f1c73daa598f81182f5f364c80",
+    25: "b7415b2e1b5a7852d2573c6af824451ef7c2dfb2f6fbc19b1f07c4395f9ad28e",
+    27: "ab4d4ad696e81b420806ae0b9256f9b9954fa073b633928699f7575614b1fa4b",
+}
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13,
@@ -336,9 +362,14 @@ def test_records_check_the_derived_negative_dual_witness(F25, orbits5):
                                pytest.param(27, marks=pytest.mark.stretch)])
 def test_records_equal_the_three_lookup_reference(q):
     # the reference names each image pair by its own canonical form; the
-    # records take two of the three from per-class witnesses
+    # records name inverse pairs by one fixed conjugator and run a
+    # canonical form only on x in y's class.  The digests pin the records'
+    # repr as built at 65ff854, before inverse pairs took that conjugator
     orbits = enumerate_orbits(q)
-    assert orbit_records(q, orbits) == records_by_pair_key(q, orbits)
+    recs = orbit_records(q, orbits)
+    assert recs == records_by_pair_key(q, orbits)
+    digest = hashlib.sha256(repr(recs).encode()).hexdigest()
+    assert digest == _RECORDS_SHA256[q]
 
 
 def test_reflexible_search_agrees_with_element_scan_q3(F9, orbits3):
