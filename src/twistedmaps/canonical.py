@@ -153,30 +153,21 @@ def canonical_form(x):
 # ---------------------------------------------------------------------------
 
 def stabilizer_elements(c, F):
-    """All elements of Gbar commuting with canonical_rep(c, F), listed
-    explicitly: generic classes have 2(q -+ 1) of them, exceptional classes
-    twice that (the extra elements swap the two eigenlines)."""
-    f = F.m // 2
-    q = F.p ** f
-    lam = F.pow(F.xi, c.i)
-    out = []
-    if c.form == "dia":
-        for eta in F.subfield_units(f):
-            out.append(TwElem(F, (eta, 0, 0, 1), 0))
-            out.append(TwElem(F, (F.mul(eta, lam), 0, 0, 1), 1))
-        if is_exceptional(c, q):
-            for z in F.nth_roots(F.pow(lam, -2), q - 1):
-                out.append(TwElem(F, (0, z, 1, 0), 0))
-            for w in F.nth_roots(F.pow(lam, q + 1), q - 1):
-                out.append(TwElem(F, (0, w, 1, 0), 1))
-    else:
-        for eta in F.nth_roots(1, q + 1):
-            out.append(TwElem(F, (eta, 0, 0, 1), 0))
-            out.append(TwElem(F, (0, F.mul(eta, lam), 1, 0), 1))
-        if is_exceptional(c, q):
-            for z in F.nth_roots(F.pow(lam, 2), q + 1):
-                out.append(TwElem(F, (0, z, 1, 0), 0))
-            for eta in F.nth_roots(F.neg(1), q + 1):
-                out.append(TwElem(F, (eta, 0, 0, 1), 1))
+    """The centralizer of y = canonical_rep(c, F) in Gbar, built as a group:
+    the torus T of [dia(eta, 1), 0] with eta^m0 = 1, m0 = q -+ 1 (dia/off),
+    and its coset T y, 2 m0 elements.  An exceptional class adds s T and
+    s T y, where s = [off(z, 1), 0] swaps y's eigenlines, z the least root
+    of z^m0 = lam^-2 (dia) or lam^2 (off), lam = xi^i: 4 m0 elements."""
+    q = F.p ** (F.m // 2)
+    m0 = _modulus_for(c, q)
+    y = canonical_rep(c, F)
+    out = [TwElem(F, (eta, 0, 0, 1), 0) for eta in F.nth_roots(1, m0)]
+    out += [t * y for t in out]
+    if is_exceptional(c, q):
+        lam2 = F.pow(F.xi, 2 * c.i)
+        z = min(F.nth_roots(F.inv(lam2) if c.form == "dia" else lam2, m0))
+        s = TwElem(F, (0, z, 1, 0), 0)
+        assert conjugate(y, s) == y, "the eigenline swap must centralize y"
+        out += [s * g for g in out]
     assert len(out) == len(set(out)) == stabilizer_size(c, q)
     return out

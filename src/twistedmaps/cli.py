@@ -68,8 +68,18 @@ def _emit_csv(header, rows):
     _write("\n".join(lines) + "\n")
 
 
-def _bool_str(b):
-    return "true" if b else "false"
+def _emit_rows(fmt, header, rows, name="rows", **top):
+    """json or csv from one header and one row list.  json nests the rows
+    as objects under name beside the fields top; both print ints as
+    strings and bools as true/false."""
+    if fmt == "json":
+        _emit_json(dict(top, **{name: [
+            {h: v if isinstance(v, (bool, str)) else str(v)
+             for h, v in zip(header, row)} for row in rows]}))
+    else:
+        _emit_csv(header, [[("true" if v else "false")
+                            if isinstance(v, bool) else v for v in row]
+                           for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +88,10 @@ def _bool_str(b):
 def _render_checks(args, label, checks):
     """checks: list of (name, expected, actual); returns the exit code."""
     failed = [c for c in checks if c[1] != c[2]]
-    if args.format == "json":
-        _emit_json({
-            "label": label,
-            "checks": [{"name": n, "expected": str(e), "actual": str(a),
-                        "ok": e == a} for n, e, a in checks],
-            "passed": not failed,
-        })
-    elif args.format == "csv":
-        _emit_csv(["name", "expected", "actual", "ok"],
-                  [(n, e, a, _bool_str(e == a)) for n, e, a in checks])
+    if args.format != "text":
+        _emit_rows(args.format, ("name", "expected", "actual", "ok"),
+                   [(n, e, a, e == a) for n, e, a in checks], "checks",
+                   label=label, passed=not failed)
     else:
         width = max(len(c[0]) for c in checks)
         for n, e, a in checks:
@@ -237,20 +241,28 @@ def _count_checks(q, orbits):
     return [("orbits-" + k, expected[k], summary[k]) for k in ORBIT_KEYS]
 
 
-def _oracle_pass(q, p, f):
+def _fuse(records, p, f, checked=False):
+    """records fused into one record per Galois bundle when f > 1, and the
+    number of bundles whose size is not their members' level (a level-e
+    orbit has e Galois images).  Unless the caller prints that count as a
+    check (checked), a nonzero count is an internal failure (exit 4)."""
+    if f == 1:
+        return records, 0
+    bundles = oracle.galois_fuse(records, p, f)
+    violations = sum(1 for b in bundles if len(b) != b[0].level)
+    assert checked or not violations, \
+        "%d Galois bundles differ in size from their level" % violations
+    return oracle.fused_records(bundles), violations
+
+
+def _oracle_pass(q, p, f, checked=False):
     """One oracle pass: partition once, build each orbit record once and
     fuse once when f > 1.  Returns the partition, its records, the maps
     (level-f records, fused when f > 1, since like the census a map is a
-    level-f orbit up to Galois conjugacy) and the number of bundles whose
-    size is not their members' level."""
+    level-f orbit up to Galois conjugacy) and _fuse's violation count."""
     orbits = oracle.enumerate_orbits(q)
     records = oracle.orbit_records(q, orbits)
-    maps, violations = records, 0
-    if f > 1:
-        # a level-e orbit has e Galois images, so its bundle has e members
-        bundles = oracle.galois_fuse(records, p, f)
-        violations = sum(1 for b in bundles if len(b) != b[0].level)
-        maps = oracle.fused_records(bundles)
+    maps, violations = _fuse(records, p, f, checked)
     return orbits, records, [r for r in maps if r.level == f], violations
 
 
@@ -282,6 +294,8 @@ def _closure_checks(args, q, p, f, orbits):
 
 
 def cmd_verify(args):
+    if args.force and args.level != "bruteforce":
+        raise UsageError("--force applies only to --level bruteforce")
     q = args.q
     p, f = _verify_q(q)
     label = {"q": str(q), "level": args.level}
@@ -300,7 +314,7 @@ def cmd_verify(args):
         return _render_checks(args, label,
                               _count_checks(q, oracle.enumerate_orbits(q)))
 
-    orbits, records, maps, violations = _oracle_pass(q, p, f)
+    orbits, records, maps, violations = _oracle_pass(q, p, f, checked=True)
     generating = [r for r in records if r.level == f]
     checks = _count_checks(q, orbits)
 
@@ -383,26 +397,18 @@ def cmd_orbits(args):
     _cap_enumeration(q, "orbit listing")
     kl = _parse_type(args.type) if args.type else None
     records = oracle.orbit_records(q, oracle.enumerate_orbits(q))
-    if args.fuse and f > 1:
-        records = oracle.fused_records(oracle.galois_fuse(records, p, f))
+    if args.fuse:
+        records = _fuse(records, p, f)[0]
     if kl:
         records = [r for r in records if (r.k, r.l) == kl]
 
-    if args.format == "json":
-        _emit_json({"q": str(q), "fused": bool(args.fuse), "rows": [
-            {"form": r.form, "i": str(r.i),
-             "e1": str(r.key[0]), "e2": str(r.key[1]), "u": str(r.key[2]),
-             "size": str(r.size), "level": str(r.level),
-             "k": str(r.k), "l": str(r.l), "reflexible": r.reflexible,
-             "pos_sd": r.pos_selfdual, "neg_sd": r.neg_selfdual}
-            for r in records]})
-    elif args.format == "csv":
-        _emit_csv(
-            ["form", "i", "e1", "e2", "u", "size", "level", "k", "l",
-             "reflexible", "pos_sd", "neg_sd"],
-            [(r.form, r.i, r.key[0], r.key[1], r.key[2], r.size, r.level,
-              r.k, r.l, _bool_str(r.reflexible), _bool_str(r.pos_selfdual),
-              _bool_str(r.neg_selfdual)) for r in records])
+    if args.format != "text":
+        _emit_rows(args.format,
+                   ("form", "i", "e1", "e2", "u", "size", "level", "k", "l",
+                    "reflexible", "pos_sd", "neg_sd"),
+                   [(r.form, r.i, *r.key, r.size, r.level, r.k, r.l,
+                     r.reflexible, r.pos_selfdual, r.neg_selfdual)
+                    for r in records], q=str(q), fused=bool(args.fuse))
     else:
         for r in records:
             flags = "".join((

@@ -241,14 +241,6 @@ class Field:
         step = n // g
         return {self.exp[(t0 + k * step) % n] for k in range(g)}
 
-    def subfield_units(self, d):
-        """The unit group of the GF(p^d) copy inside this field, as a list."""
-        assert self.m % d == 0
-        n = self.size - 1
-        nd = self.p ** d - 1
-        step = n // nd
-        return [self.exp[k * step] for k in range(nd)]
-
     def embed_from(self, sub, x):
         """Image of x under the canonical field embedding of sub = GF(p^d)
         into this field (a ring homomorphism; its image is the GF(p^d) copy
@@ -256,7 +248,9 @@ class Field:
         modulus polynomial.  Requires d | m."""
         assert sub.p == self.p and self.m % sub.m == 0
         g = list(sub.modulus) + [1]
-        root = next((c for c in sorted(self.subfield_units(sub.m))
+        # the GF(p^d) copy is 0 and the roots of z^(p^d - 1) = 1; 0 is a
+        # root only of GF(p)'s modulus x
+        root = next((c for c in sorted({0} | self.nth_roots(1, sub.size - 1))
                      if self._horner(g, c) == 0), None)
         assert root is not None, "modulus must split in the extension"
         return self._horner(sub.coeffs(x), root)

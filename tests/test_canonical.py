@@ -110,7 +110,9 @@ def test_canonical_form_rejects_untwisted(F9):
 
 
 def test_stabilizer_elements_fix_representative():
-    for (p, f) in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+    # generic and exceptional classes of both forms at f = 1, 2 and 3
+    for (p, f) in [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2),
+                   (3, 3)]:
         q = p ** f
         F = make_field(p, 2 * f)
         for c in cn.all_classes(q):

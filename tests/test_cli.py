@@ -196,6 +196,12 @@ def test_verify_bruteforce_gate_and_force(capsys):
                                 "--level", "bruteforce", "--force"])
     assert code == 3
     assert "capped at q <= 27" in err
+    # the other levels have no partition-only variant to force
+    for level in ("formulas", "orbits", "selfdual"):
+        code, out, err = run(capsys, ["verify", "--q", "11",
+                                      "--level", level, "--force"])
+        assert (code, out) == (2, "")
+        assert "--force applies only to --level bruteforce" in err
 
 
 # the first q with a level f that has proper levels below it (f = 3), and
@@ -256,6 +262,13 @@ def test_fusion_size_violations_are_counted(capsys, monkeypatch):
                                 "bruteforce"])
     assert code == 1
     assert "FAIL fusion-size-violations  expected 0  actual 395\n" in out
+    # every other command that fuses prints no such check, so it fails as
+    # an internal invariant and prints nothing
+    for argv in ("verify --q 9 --level selfdual", "selfdual --q 9",
+                 "orbits --q 9 --fuse"):
+        code, out, err = run(capsys, argv.split())
+        assert (code, out) == (4, ""), argv
+        assert "395 Galois bundles differ in size from their level" in err
 
 
 def test_bundle_with_differing_flags_is_an_internal_failure(capsys,

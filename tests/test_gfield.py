@@ -150,25 +150,28 @@ def test_subfield_membership_and_units(F81):
     F = F81
     inside = [x for x in F.elements() if F.frobenius(x, 2) == x]
     assert len(inside) == 9
-    assert set(F.subfield_units(2)) == {x for x in inside if x != 0}
+    assert F.nth_roots(1, 8) == {x for x in inside if x != 0}
     # GF(3) sits in everything
     assert [x for x in F.elements() if F.frobenius(x, 1) == x] == [0, 1, 2]
 
 
 def test_embedding_is_a_field_homomorphism_onto_subfield_copy():
-    big = make_field(3, 6)
-    small = make_field(3, 2)
-    img = {x: big.embed_from(small, x) for x in small.elements()}
-    assert len(set(img.values())) == small.size
-    for x, y in img.items():
-        assert big.frobenius(y, 2) == y
-    for a in small.elements():
-        for b in small.elements():
-            assert img[small.mul(a, b)] == big.mul(img[a], img[b])
-            assert img[small.add(a, b)] == big.add(img[a], img[b])
-    assert img[1] == 1 and img[0] == 0
-    # the subfield copy is exactly the image
-    assert {x for x in big.elements() if big.frobenius(x, 2) == x} == set(img.values())
+    # a prime subfield's modulus is x, whose one root is 0
+    for p, d, m in [(3, 1, 2), (5, 1, 4), (3, 3, 6), (3, 2, 6)]:
+        big = make_field(p, m)
+        small = make_field(p, d)
+        img = {x: big.embed_from(small, x) for x in small.elements()}
+        assert len(set(img.values())) == small.size
+        for x, y in img.items():
+            assert big.frobenius(y, d) == y
+        for a in small.elements():
+            for b in small.elements():
+                assert img[small.mul(a, b)] == big.mul(img[a], img[b])
+                assert img[small.add(a, b)] == big.add(img[a], img[b])
+        assert img[1] == 1 and img[0] == 0
+        # the subfield copy is exactly the image
+        assert ({x for x in big.elements() if big.frobenius(x, d) == x}
+                == set(img.values()))
 
 
 def test_pow_and_dlog_agree(F25):
