@@ -62,12 +62,6 @@ def _emit_json(obj):
     _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_csv(header, rows):
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    _write("\n".join(lines) + "\n")
-
-
 def _emit_rows(fmt, header, rows, name="rows", **top):
     """json or csv from one header and one row list.  json nests the rows
     as objects under name beside the fields top; both print ints as
@@ -77,9 +71,10 @@ def _emit_rows(fmt, header, rows, name="rows", **top):
             {h: v if isinstance(v, (bool, str)) else str(v)
              for h, v in zip(header, row)} for row in rows]}))
     else:
-        _emit_csv(header, [[("true" if v else "false")
-                            if isinstance(v, bool) else v for v in row]
-                           for row in rows])
+        lines = [header] + [[("true" if v else "false")
+                             if isinstance(v, bool) else str(v) for v in row]
+                            for row in rows]
+        _write("".join(",".join(line) + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def cmd_count(args):
         return 0
 
     if args.format == "csv":
-        _emit_csv(["key", "value"], rows)
+        _emit_rows("csv", ("key", "value"), rows)
         return 0
 
     lines = ["census p=%d f=%d (q=%d)\n" % (p, f, q),
@@ -244,8 +239,9 @@ def _count_checks(q, orbits):
 def _fuse(records, p, f, checked=False):
     """records fused into one record per Galois bundle when f > 1, and the
     number of bundles whose size is not their members' level (a level-e
-    orbit has e Galois images).  Unless the caller prints that count as a
-    check (checked), a nonzero count is an internal failure (exit 4)."""
+    orbit has e Galois images).  A nonzero count is an internal failure
+    (exit 4); a caller that prints it as a check (checked) exits 4 after
+    printing its checks."""
     if f == 1:
         return records, 0
     bundles = oracle.galois_fuse(records, p, f)
@@ -342,7 +338,10 @@ def cmd_verify(args):
     if q <= 5:
         checks.extend(_closure_checks(args, q, p, f, orbits))
 
-    return _render_checks(args, label, checks)
+    code = _render_checks(args, label, checks)
+    assert not violations, \
+        "%d Galois bundles differ in size from their level" % violations
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +360,17 @@ def cmd_selfdual(args):
         print("note: %d negatively self-dual classes are not positively "
               "self-dual" % surplus, file=sys.stderr)
 
-    rows = [(q, form, cells[form][0], cells[form][1], cells[form][2],
-             cells[form][3]) for form in ("dia", "off")]
+    header = ("form", "k_eq_l", "pos_sd", "neg_sd", "both")
+    rows = [(form, *cells[form]) for form in ("dia", "off")]
     if args.format == "json":
-        _emit_json({"q": str(q), "rows": [
-            {"form": form, "k_eq_l": str(a), "pos_sd": str(b),
-             "neg_sd": str(c), "both": str(d)}
-            for _, form, a, b, c, d in rows]})
+        _emit_rows("json", header, rows, q=str(q))
     elif args.format == "csv":
-        _emit_csv(["q", "form", "k_eq_l", "pos_sd", "neg_sd", "both"], rows)
+        _emit_rows("csv", ("q",) + header, [(q, *row) for row in rows])
     else:
         _write("self-dual map classes at q=%d\n" % q)
         _write("  %-4s %8s %8s %8s %8s\n"
                % ("form", "k=l", "pos", "neg", "both"))
-        for _, form, a, b, c, d in rows:
+        for form, a, b, c, d in rows:
             _write("  %-4s %8d %8d %8d %8d\n" % (form, a, b, c, d))
     return 0
 

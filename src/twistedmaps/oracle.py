@@ -14,34 +14,22 @@ quads under the stabilizer of y, and that action is semiregular, so orbit
 counts are exact divisions.  Everything here recomputes those orbits by
 direct group arithmetic, never through the closed formulas.
 
-A map is an orbit, so every per-map question is whether some image pair lies
-in a given orbit: reflexibility asks it of (x^-1, y^-1), positive and negative
-self-duality of (y, x) and (y^-1, x^-1), and Galois fusion of the entrywise
-Frobenius image.  Each answer names the image's orbit as (class, quad) from
-a conjugator carrying its second member onto a representative: one fixed
-matrix for every inverse pair (_inverse_quad), else a canonical-form witness.
-The records take the class of x from twisted_class, and run canonical_form
-only on x in y's class.  Fusion runs canonical_form once per class and
-Frobenius power, on the image of the representative.  Only the records read
-an orbit's member list; Galois fusion bundles the records, naming each
-image's record as a record is named, (class, least quad).  orbit_walker is
-the one walk of an orbit: the partition runs it from each unseen quad,
-fusion from each Frobenius image.
+Every fixed image of a quad is one log-form move (_log_move): x ->
+g^-1 T(x) g, g monomial and T an entrywise p^e power or the inverse, read
+against one class and written against another; _image_walk is the one
+loop that applies moves.  The stabilizer's moves walk an orbit
+(orbit_walker), one move names the inverse pair (_inverse_quad), and the
+moves of phi^j(g) w walk a Frobenius image's orbit (_frobenius_walk).  A
+record asks whether (x^-1, y^-1), (y, x) and (y^-1, x^-1) lie in its
+orbit; only (y, x) takes a canonical form, of x, where x shares y's class.
+Galois fusion names each image as a record is named, (class, least quad).
 
-generated_level names the subfield level a pair generates: the orders a
-record reads from its classes screen, and a closure capped just past the
-largest proper subgroup order decides every pair that passes the screen.
-
-closure_order builds the subgroup a pair generates without TwElem products:
-an element [A, i] is the two rows of A as points of the projective line
-over F, the log of row 1's scale against row 0's, and i.  Each generator
-acts on rows through two tables of |F| + 1 entries, one for a left factor
-with twist bit 0 and one for twist bit 1.
-
-The explicit conjugator searches that witness these answers, the
-three-lookup record builder, pair_key, the TwElem closure and the
-whole-group enumerators are test references in tests/reference.py, outside
-the package.
+generated_level names the subfield level a pair generates by an order
+screen and a capped closure, and closure_order builds that subgroup on the
+rows of its matrices, without TwElem products.  The explicit conjugator
+searches, the three-lookup record builder with its pair_key, the TwElem
+closure and the whole-group enumerators are test references in
+tests/reference.py, outside the package.
 """
 
 from dataclasses import dataclass, replace
@@ -100,26 +88,6 @@ def matrix_quad(F, cls, M):
     return (first, second, u)
 
 
-def _witness_key(F, cls, w, first):
-    """(class, quad) of the orbit holding a map pair (first, second), given
-    the class of second and a witness w with conjugate(second, w) equal to
-    that class's representative: the quad of first conjugated by w."""
-    return cls, matrix_quad(F, cls, conjugate(first, w).matrix)
-
-
-def _inverse_quad(F, cls, quad):
-    """Quad of the inverse pair (x^-1, y^-1) of the pair a quad encodes.
-    [D, 0], D = off(1, 1/lam), conjugates y^-1 = rep(cls)^-1 onto rep(cls)
-    for both forms, and x^-1 = [adj(A)^sigma, 1] onto D^-1 adj(A)^sigma
-    D^sigma = (lam a, -lam ls c, -b, ls d) up to scale, with (a, b, c, d) =
-    A^sigma and ls = lam^sigma.  Conjugators of y^-1 onto y differ by an
-    element of y's stabilizer, so any one of them names the same orbit."""
-    a, b, c, d = mat_frob(F, quad_matrix(F, cls, quad), F.m // 2)
-    lam, ls = F.pow(F.xi, cls.i), _lam_sigma(F, cls)
-    return matrix_quad(F, cls, (F.mul(lam, a), F.neg(F.mul(F.mul(lam, ls), c)),
-                                F.neg(b), F.mul(ls, d)))
-
-
 def class_quads(F, cls):
     """All admissible quads against one class, generated deterministically.
 
@@ -160,56 +128,63 @@ def act_quad(F, cls, g, quad):
     return matrix_quad(F, cls, conjugate(x, g).matrix)
 
 
-def _log_move(F, cls, g):
-    """A stabilizer element g = [D, j] as a move in log form (j, corner,
-    first, second, shape, then three offsets).
+def _log_move(F, cls, g, e=0, adj=False):
+    """x -> g^-1 T(x) g for a monomial g = [D, j] as a move onto quads
+    against cls, in log form (k, corner, first, second, shape, then three
+    offsets).  T(x) is [A^(p^e), 1] entrywise, or with adj [adj(A)^(p^e),
+    1]: x^-1 = [adj(A)^sigma, 1] is adj with e = f.
 
-    conjugate([A, 1], g) = g^-1 [A, 1] g = [L A^(sigma^j) R, 1] with
-    L = (D^(sigma^j))^-1 and R = D^(sigma^(j+1)).  D is diagonal or
-    antidiagonal, so L and R are too, and entry (r, c) of L X R is
+    g^-1 [B, 1] g = [L B^(sigma^j) R, 1] with L = (D^(sigma^j))^-1 and
+    R = D^(sigma^(j+1)), both monomial, so entry (r, c) of L X R is
     X[r ^ tL][c ^ tR] times a unit, tL and tR being 1 for antidiagonal.
-    corner ... shape are the positions in X that land in those slots; the
-    offsets are the logs of the units by which first, second and shape are
-    scaled once the whole matrix is scaled by -1/corner."""
-    D = (g.matrix, mat_frob(F, g.matrix, F.m // 2))  # D^(sigma^0), D^sigma
+    X is A or adj(A) = (d, -b, -c, a), a diagonal swap and a half offset,
+    raised to p^(e + j f); k is that power mod |F| - 1, a factor on logs.
+    corner ... shape are the positions in A that land in those slots; the
+    offsets are the logs of the units by which first, second and shape
+    are scaled once the whole matrix is scaled by -1/corner."""
+    f, n, half = F.m // 2, F.size - 1, F.dlog(F.neg(1))
+    D = (g.matrix, mat_frob(F, g.matrix, f))  # D^(sigma^0), D^sigma
     L, R = mat_inv(F, D[g.i]), D[1 - g.i]
     tL, tR = (0 if M[0] else 1 for M in (L, R))
     assert all(M[1 - t] == M[2 + t] == 0 for M, t in ((L, tL), (R, tR))), \
-        "stabilizer moves must be monomial"
+        "moves must be monomial"
     entries, units = [], []
     for pos in _SLOTS[cls.form]:
         r, c = divmod(pos, 2)
-        entries.append(2 * (r ^ tL) + (c ^ tR))
-        units.append(F.dlog(L[2 * r + (r ^ tL)]) + F.dlog(R[2 * (c ^ tR) + c]))
-    n, half = F.size - 1, F.dlog(F.neg(1))
-    return (g.i, *entries, *((u - units[0] + half) % n for u in units[1:]))
+        src = 2 * (r ^ tL) + (c ^ tR)
+        unit = F.dlog(L[2 * r + (r ^ tL)]) + F.dlog(R[2 * (c ^ tR) + c])
+        if adj:
+            src, unit = (src, unit + half) if src % 3 else (3 - src, unit)
+        entries.append(src)
+        units.append(unit)
+    return (pow(F.p, e + g.i * f, n), *entries,
+            *((u - units[0] + half) % n for u in units[1:]))
 
 
-def orbit_walker(F, cls):
-    """walk(quad): the set of quads in quad's stabilizer orbit, walked on
-    discrete logs.  The class's moves are put in log form once; they are
-    monomial, so per walk the logs of A's entries are read off the quad
-    (sigma multiplies a log by q), and per member first and second are one
-    exp lookup each and u one Zech lookup.  Each walk keeps matrix_quad's
-    checks as asserts, and asserts semiregularity and that quad is a
-    member, which the identity move makes fail unless u is
-    first*second + lam^sigma."""
-    moves = [_log_move(F, cls, g) for g in stabilizer_elements(cls, F)]
+def _image_walk(F, src, dst, moves):
+    """walk(quad): the images under log-form moves of the pair a quad
+    encodes against src, as a set of quads against dst.  Per walk the logs
+    of A's entries are read off the quad and raised to each power the
+    moves take; per image first and second are one exp lookup each and u
+    one Zech lookup.  Each image keeps matrix_quad's checks as asserts
+    against dst, and the walk asserts the images distinct (semiregular)."""
     n = F.size - 1
-    q = F.p ** (F.m // 2)
     exp, log, zech = F.exp, F.log, F.zech
-    lls = log[_lam_sigma(F, cls)]
-    slots, half = _SLOTS[cls.form], log[F.neg(1)]
-    corner = "%s-shaped partner has nonzero corner" % cls.form
+    lls_src = log[_lam_sigma(F, src)]
+    lls = lls_src if dst == src else log[_lam_sigma(F, dst)]
+    powers = sorted({move[0] for move in moves})
+    moves = [(powers.index(k), *rest) for k, *rest in moves]
+    slots, half = _SLOTS[src.form], log[F.neg(1)]
+    corner = "%s-shaped partner has nonzero corner" % dst.form
 
     def walk(quad):
         la = [0] * 4  # log[0] is -1, which marks a zero entry
-        for pos, a in zip(slots, (half, log[quad[0]], log[quad[1]], lls)):
+        for pos, a in zip(slots, (half, log[quad[0]], log[quad[1]], lls_src)):
             la[pos] = a
-        twists = (la, [a * q % n if a >= 0 else -1 for a in la])
-        orbit = set()
-        for j, ic, i1, i2, ish, o1, o2, osh in moves:
-            lx = twists[j]
+        twists = [[a * k % n if a >= 0 else -1 for a in la] for k in powers]
+        images = set()
+        for t, ic, i1, i2, ish, o1, o2, osh in moves:
+            lx = twists[t]
             lc, l1, l2, lsh = lx[ic], lx[i1], lx[i2], lx[ish]
             assert lc >= 0, corner
             assert lsh >= 0 and (lsh - lc + osh) % n == lls, \
@@ -225,12 +200,51 @@ def orbit_walker(F, cls):
                 assert z >= 0, "partner must be twisted in G"
                 lu = (lls + z) % n
             assert lu % 2, "partner must be twisted in G"
-            orbit.add((first, second, exp[lu]))
-        assert len(orbit) == len(moves), "stabilizer action must be semiregular"
+            images.add((first, second, exp[lu]))
+        assert len(images) == len(moves), "the action must be semiregular"
+        return images
+
+    return walk
+
+
+def orbit_walker(F, cls):
+    """walk(quad): the set of quads in quad's stabilizer orbit, the
+    stabilizer's moves through _image_walk.  Each walk asserts that quad is
+    a member, which the identity move makes fail unless u is
+    first*second + lam^sigma."""
+    walk = _image_walk(F, cls, cls, [_log_move(F, cls, g)
+                                     for g in stabilizer_elements(cls, F)])
+
+    def members(quad):
+        orbit = walk(quad)
         assert quad in orbit
         return orbit
 
-    return walk
+    return members
+
+
+def _inverse_quad(F, cls):
+    """quad -> quad of the inverse pair (x^-1, y^-1): the move of [D, 0],
+    D = off(1, 1/lam), after inversion.  [D, 0] conjugates y^-1 =
+    rep(cls)^-1 onto rep(cls) for both forms, and conjugators of y^-1 onto
+    y differ by a stabilizer element, so any one names the same orbit."""
+    D = TwElem(F, (0, 1, F.inv(F.pow(F.xi, cls.i)), 0), 0)
+    walk = _image_walk(F, cls, cls, [_log_move(F, cls, D, F.m // 2, adj=True)])
+    return lambda quad: min(walk(quad))
+
+
+def _frobenius_walk(F, cls, j):
+    """(c, walk): walk(quad) is the orbit, as quads against c, of the image
+    under phi^j of the pair a quad encodes against cls.  canonical_form
+    gives the class c of phi^j(rep(cls)) and a monomial witness w, and
+    phi^j(g) w, g in the stabilizer of rep(cls), runs over the conjugators
+    of phi^j(rep(cls)) onto rep(c): the moves reach the whole orbit."""
+    def phi(g):
+        return TwElem(F, mat_frob(F, g.matrix, j), g.i)
+
+    c, w = canonical_form(phi(canonical_rep(cls, F)))
+    return c, _image_walk(F, cls, c, [_log_move(F, c, phi(g) * w, j)
+                                      for g in stabilizer_elements(cls, F)])
 
 
 def orbit_partition(F, cls):
@@ -367,36 +381,23 @@ def galois_fuse(records, p, f):
     """Bundle the records of one q under the entrywise Frobenius action;
     returns the bundles as sorted lists of records.
 
-    The Galois group is cyclic, generated by the p-power Frobenius phi, and
-    phi^f is conjugation by [I, 1], which fixes every orbit.  So a bundle is
-    the Frobenius image set of its first record's pair, each image named
-    like a record, (class, least quad of its walked orbit), and asserted
-    disjoint from the bundles before it.  Orbits of pairs generating the
-    full group fall into bundles of size exactly f; orbits conjugate into
-    proper subfield subgroups may fuse less.
-    """
+    The Galois group is generated by the p-power Frobenius phi, and phi^f
+    is conjugation by [I, 1], which fixes every orbit.  So a bundle is a
+    record with the records of its key's walks under phi^j, 0 < j < f,
+    each named (class, least quad), and is asserted disjoint from the
+    bundles before it.  Orbits of pairs generating the full group fall
+    into bundles of size exactly f; those in proper subfield subgroups
+    may fuse less."""
     F = make_field(p, 2 * f)
     named = {(CanonClass(r.form, r.i), r.key): r for r in records}
-    classes = {c for c, _ in named}
-    walks = {cls: orbit_walker(F, cls) for cls in classes}
-
-    def phi(g, j):
-        return TwElem(F, mat_frob(F, g.matrix, j), g.i)
-
-    # y is rep(cls), so the second member of every image under phi^j is
-    # phi^j(rep(cls)): one canonical form per class and j names them all
-    forms = {(cls, j): canonical_form(phi(canonical_rep(cls, F), j))
-             for cls in classes for j in range(1, f)}
+    images = {cls: [_frobenius_walk(F, cls, j) for j in range(1, f)]
+              for cls in {c for c, _ in named}}
     placed = set()
     bundles = []
     for (cls, key), rec in named.items():
         if rec in placed:
             continue
-        x, _ = quad_pair(F, cls, key)
-        images = (_witness_key(F, *forms[cls, j], phi(x, j))
-                  for j in range(1, f))
-        bundle = {rec}
-        bundle.update(named[c, min(walks[c](quad))] for c, quad in images)
+        bundle = {rec, *(named[c, min(walk(key))] for c, walk in images[cls])}
         assert placed.isdisjoint(bundle), "Frobenius images must be closed"
         placed |= bundle
         bundles.append(sorted(bundle))
@@ -435,12 +436,12 @@ class OrbitRec:
     neg_selfdual: bool
 
 
-def _record_for(F, cls, orbit):
+def _record_for(F, cls, orbit, inverse):
     """The record of one orbit.  k and l are the orders of x's class c_x,
-    read by twisted_class, and of cls; the level screen takes both.
-    _inverse_quad names (x^-1, y^-1).  (y, x) and (y^-1, x^-1) lie in c_x,
-    so only when c_x = cls can they be this orbit and does canonical_form(x)
-    run; its witness names (y, x), whose _inverse_quad is (y^-1, x^-1)."""
+    read by twisted_class, and of cls.  inverse, the class's _inverse_quad,
+    names (x^-1, y^-1).  (y, x) and (y^-1, x^-1) lie in c_x, so only when
+    c_x = cls does canonical_form(x) run: its witness carries (y, x) onto
+    the dual quad, whose inverse names (y^-1, x^-1)."""
     x, y = quad_pair(F, cls, orbit[0])
     members = set(orbit)
     q = F.p ** (F.m // 2)
@@ -448,13 +449,13 @@ def _record_for(F, cls, orbit):
     k, l = canonical_order(c_x, q), canonical_order(cls, q)
     pos_selfdual = neg_selfdual = False
     if c_x == cls:
-        dual = _witness_key(F, cls, canonical_form(x)[1], y)[1]
+        dual = matrix_quad(F, cls, conjugate(y, canonical_form(x)[1]).matrix)
         pos_selfdual = dual in members
-        neg_selfdual = _inverse_quad(F, cls, dual) in members
+        neg_selfdual = inverse(dual) in members
     return OrbitRec(
         form=cls.form, i=cls.i, key=orbit[0], size=len(orbit),
         level=generated_level((x, y), (k, l)), k=k, l=l,
-        reflexible=_inverse_quad(F, cls, orbit[0]) in members,
+        reflexible=inverse(orbit[0]) in members,
         pos_selfdual=pos_selfdual, neg_selfdual=neg_selfdual,
     )
 
@@ -463,7 +464,8 @@ def orbit_records(q, orbits):
     """Deterministically ordered OrbitRec rows for every orbit at one q."""
     p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
-    return sorted(_record_for(F, cls, orbit)
+    inverses = {cls: _inverse_quad(F, cls) for cls in orbits}
+    return sorted(_record_for(F, cls, orbit, inverses[cls])
                   for cls, block in orbits.items() for orbit in block)
 
 

@@ -14,7 +14,7 @@ from twistedmaps.canonical import (all_classes, canonical_form,
                                    canonical_rep, stabilizer_elements)
 from twistedmaps.gfield import make_field
 from twistedmaps.numth import odd_prime_power
-from twistedmaps.oracle import (OrbitRec, _witness_key, generated_level,
+from twistedmaps.oracle import (OrbitRec, generated_level, matrix_quad,
                                 quad_pair)
 from twistedmaps.twisted_group import TwElem, conjugate, iota, mat_det, order
 
@@ -81,7 +81,8 @@ def pair_key(F, first, second):
     """(class, quad) of the orbit holding the map pair (first, second): the
     class of second, and the quad of first once second is conjugated onto
     that class's representative."""
-    return _witness_key(F, *canonical_form(second), first)
+    cls, w = canonical_form(second)
+    return cls, matrix_quad(F, cls, conjugate(first, w).matrix)
 
 
 def _record_by_pair_key(F, cls, orbit, orders):

@@ -258,10 +258,13 @@ def test_fusion_size_violations_are_counted(capsys, monkeypatch):
     # at q=9 every orbit generates (level 2) and every bundle has two
     # members; records that claim level 1 make each bundle one too large
     monkeypatch.setattr(oracle, "generated_level", lambda pair, orders: 1)
-    code, out, _ = run(capsys, ["verify", "--q", "9", "--level",
-                                "bruteforce"])
-    assert code == 1
+    code, out, err = run(capsys, ["verify", "--q", "9", "--level",
+                                  "bruteforce"])
+    # a failed oracle invariant, not a formula mismatch: exit 4 after the
+    # check lines, which print the count
+    assert code == 4
     assert "FAIL fusion-size-violations  expected 0  actual 395\n" in out
+    assert "395 Galois bundles differ in size from their level" in err
     # every other command that fuses prints no such check, so it fails as
     # an internal invariant and prints nothing
     for argv in ("verify --q 9 --level selfdual", "selfdual --q 9",

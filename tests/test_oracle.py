@@ -21,6 +21,7 @@ from twistedmaps.canonical import (CanonClass, all_classes, canonical_order,
 from twistedmaps.census import (count_maps, orbit_counts,
                                 reflexible_orbit_counts, type_obstruction)
 from twistedmaps.gfield import make_field
+from twistedmaps.numth import odd_prime_power
 from twistedmaps.oracle import (SELFDUAL_TABLE, act_quad, class_quads,
                                 closure_order, enumerate_orbits,
                                 fused_records, galois_fuse, generated_level,
@@ -276,10 +277,59 @@ def test_partition_walks_quad_logs(monkeypatch):
 
 
 def test_fusion_looks_up_images_once_per_bundle(records9, monkeypatch):
-    calls = _count_calls(monkeypatch, oracle, "canonical_form")
+    calls = {name: _count_calls(monkeypatch, oracle, name)
+             for name in ("canonical_form", "quad_pair", "conjugate",
+                          "matrix_quad")}
+    lam_sigma = []
+
+    def counted(F, cls, _fn=oracle._lam_sigma):
+        lam_sigma.append(cls)
+        return _fn(F, cls)
+
+    monkeypatch.setattr(oracle, "_lam_sigma", counted)
     assert len(galois_fuse(records9, 3, 2)) == 395
-    # one per class and Frobenius power; 395 when each image took its own
-    assert calls[0] == len(all_classes(9)) == 5
+    # one canonical form per class and Frobenius power (395 when each image
+    # took its own), and each key walked through log-form moves: 395
+    # quad_pair, conjugate and matrix_quad calls and 795 _lam_sigma calls
+    # when each image went through a TwElem
+    assert {name: c[0] for name, c in calls.items()} == {
+        "canonical_form": len(all_classes(9)), "quad_pair": 0,
+        "conjugate": 0, "matrix_quad": 0}
+    # one Frobenius power at q = 9, so a class is one (class, j)
+    per_class = Counter(lam_sigma)
+    assert set(per_class) == set(all_classes(9))
+    assert max(per_class.values()) <= 2
+
+
+def _check_frobenius_images(F, orbits, j, members):
+    """The image orbit _frobenius_walk gives for each chosen member of each
+    orbit is the walked orbit of the reference key of (phi^j(x), phi^j(y)),
+    and the same for every member of one orbit."""
+    for cls, cls_orbits in orbits.items():
+        c, images = oracle._frobenius_walk(F, cls, j)
+        walk = oracle.orbit_walker(F, c)
+        for orbit in cls_orbits:
+            image = images(orbit[0])
+            for quad in members(orbit):
+                phi_pair = (TwElem(F, mat_frob(F, g.matrix, j), g.i)
+                            for g in quad_pair(F, cls, quad))
+                ref_cls, ref = pair_key(F, *phi_pair)
+                assert ref_cls == c and walk(ref) == images(quad) == image
+
+
+def test_frobenius_images_match_the_reference_keys_q9(F81, orbits9):
+    _check_frobenius_images(F81, orbits9, 1, lambda orbit: orbit)
+
+
+@pytest.mark.stretch
+def test_frobenius_images_match_the_reference_keys_q27():
+    # one seeded member per orbit, 132,314 reference keys in about 45 s;
+    # every one of the 3.7 million quads, twice, would take about 40 min
+    rng = random.Random(27)
+    F, orbits = make_field(3, 6), enumerate_orbits(27)
+    for j in (1, 2):
+        _check_frobenius_images(F, orbits, j,
+                                lambda orbit: [rng.choice(orbit)])
 
 
 def test_reflexible_tallies_match_formulas(orbits3, orbits5, orbits7):
@@ -315,30 +365,38 @@ def test_record_flags_agree_with_conjugator_witnesses(orbits3, orbits5,
 def test_inverse_quad_names_the_inverse_pair_of_every_quad():
     # records apply the map to the dual quad of (y, x) as well as to orbit
     # heads, so check it on every quad: dia and off, generic and
-    # exceptional classes, and f = 2 at q = 9
+    # exceptional classes, and f = 2 at q = 9.  The map is the move of
+    # [D, 0], D = off(1, 1/lam), after inversion, quad for quad, and names
+    # the orbit pair_key names
     kinds = set()
     for p, f in ((3, 1), (5, 1), (7, 1), (3, 2)):
         q, F = p ** f, make_field(p, 2 * f)
         for cls in all_classes(q):
             kinds.add((cls.form, is_exceptional(cls, q)))
             walk = oracle.orbit_walker(F, cls)
+            inverse = oracle._inverse_quad(F, cls)
+            D = TwElem(F, (0, 1, F.inv(F.pow(F.xi, cls.i)), 0), 0)
             for quad in class_quads(F, cls):
                 x, y = quad_pair(F, cls, quad)
                 c, ref = pair_key(F, x.inv(), y.inv())
-                inv = oracle._inverse_quad(F, cls, quad)
+                inv = inverse(quad)
+                assert inv == matrix_quad(F, cls, conjugate(x.inv(), D).matrix)
                 assert c == cls and inv in walk(ref)
-                assert oracle._inverse_quad(F, cls, inv) in walk(quad)
+                assert inverse(inv) in walk(quad)
     assert len(kinds) == 4
 
 
 def test_records_name_inverse_pairs_without_conjugation(monkeypatch,
                                                         orbits9):
     # only the 162 diagonal orbits conjugate: canonical_form checks its
-    # witness, and _witness_key names (y, x); inverse pairs take none
+    # witness, and the witness names (y, x); inverse pairs take none, and
+    # read no partner matrix (1,114 matrix_quad calls when they did)
     calls = [_count_calls(monkeypatch, module, "conjugate")
              for module in (oracle, canonical)]
+    quads = _count_calls(monkeypatch, oracle, "matrix_quad")
     orbit_records(9, orbits9)
     assert [c[0] for c in calls] == [162, 162]
+    assert quads[0] == 162
 
 
 _RECORDS_SHA256 = {
@@ -370,6 +428,24 @@ def test_records_equal_the_three_lookup_reference(q):
     assert recs == records_by_pair_key(q, orbits)
     digest = hashlib.sha256(repr(recs).encode()).hexdigest()
     assert digest == _RECORDS_SHA256[q]
+
+
+# sha256 of repr(galois_fuse(records, p, f)), recorded at a3aca1b, before
+# fusion walked Frobenius images through log-form moves
+_FUSION_SHA256 = {
+    9: "ee3d2d04a3885d63d4d7c0d10379eacddef9614e3110271943b42f903a14b5e6",
+    25: "1df187595cb25a0178b2bd5ee36f3fb2e201aefa54c723238048b9be7182588b",
+    27: "05fccef137791ef75479a574060ac0112cac81992dc16bf649d0bce09d36e4e2",
+}
+
+
+@pytest.mark.parametrize("q", [9, pytest.param(25, marks=pytest.mark.extended),
+                               pytest.param(27, marks=pytest.mark.stretch)])
+def test_fusion_bundles_match_their_pinned_digest(q):
+    p, f = odd_prime_power(q)
+    bundles = galois_fuse(orbit_records(q, enumerate_orbits(q)), p, f)
+    digest = hashlib.sha256(repr(bundles).encode()).hexdigest()
+    assert digest == _FUSION_SHA256[q]
 
 
 def test_reflexible_search_agrees_with_element_scan_q3(F9, orbits3):
