@@ -17,9 +17,12 @@ direct group arithmetic, never through the closed formulas.
 Every fixed image of a quad is one log-form move (_log_move): x ->
 g^-1 T(x) g, g monomial and T an entrywise p^e power or the inverse, read
 against one class and written against another; _image_walk is the one
-loop that applies moves.  The stabilizer's moves walk an orbit
-(orbit_walker), one move names the inverse pair (_inverse_quad), and the
-moves of phi^j(g) w walk a Frobenius image's orbit (_frobenius_walk).  A
+loop that applies moves, by families whose moves share every value the
+shape and twist checks read, so each check runs once per family.  The
+stabilizer's moves walk an orbit (orbit_walker), one move names the
+inverse pair (_inverse_quad), and the moves of phi^j(g) w walk a
+Frobenius image's orbit (_frobenius_walk).  orbit_partition scans a
+class block's log grid (_log_grid) with one seen byte per quad.  A
 record asks whether (x^-1, y^-1), (y, x) and (y^-1, x^-1) lie in its
 orbit; only (y, x) takes a canonical form, of x, where x shares y's class.
 Galois fusion names each image as a record is named, (class, least quad).
@@ -33,6 +36,7 @@ tests/reference.py, outside the package.
 """
 
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .canonical import (CanonClass, all_classes, canonical_form,
                         canonical_order, canonical_rep, is_exceptional,
@@ -57,8 +61,12 @@ _SLOTS = {"dia": (0, 1, 2, 3), "off": (2, 0, 3, 1)}
 def quad_matrix(F, cls, quad):
     """Matrix A of the twisted x = [A, 1] a quad encodes against one class;
     raises ValueError unless u is the non-square first*second + lam^sigma."""
+    return _admissible_matrix(F, cls, _lam_sigma(F, cls), quad)
+
+
+def _admissible_matrix(F, cls, ls, quad):
+    """quad_matrix with the class's lam^sigma ls given."""
     first, second, u = quad
-    ls = _lam_sigma(F, cls)
     if F.add(F.mul(first, second), ls) != u or F.is_square(u):
         raise ValueError("quad %r is not admissible against %r" % (quad, cls))
     A = [0] * 4
@@ -88,33 +96,43 @@ def matrix_quad(F, cls, M):
     return (first, second, u)
 
 
-def class_quads(F, cls):
-    """All admissible quads against one class, generated deterministically.
+def _log_grid(F, cls):
+    """(zero rows, columns, drop): a class block's quads.  The zero rows
+    are the off rows with a = 0 or d = 0, which force u = lam^sigma.  The
+    rest is a log grid: column j is (u, d) for the j-th non-square
+    u != lam^sigma, d the log of u - lam^sigma, and the quad in row k and
+    column j is (xi^k, xi^(d - k), u), second = (u - lam^sigma)/first
+    being one exp lookup.  drop(k, d) is the one admissibility test on the
+    grid.
 
     In an exceptional class y has order 4, so quads whose x has order 4 as
     well are dropped.  x = [A, 1] has order 4 iff the trace of A A^sigma
     vanishes; with first = xi^k and u - lam^sigma = xi^d that trace is
     zero iff (2k - d)(q - 1) (dia) or (2k - d)(q + 1) (off) is n/2 mod
-    n = q^2 - 1.  The off rows with a zero entry never have trace 0."""
+    n = q^2 - 1.  The zero rows never have trace 0."""
     q = F.p ** (F.m // 2)
-    ls = _lam_sigma(F, cls)
-    nonsquares = [w for w in F.units() if not F.is_square(w)]
-
-    if cls.form == "off":
-        # rows with a = 0 or d = 0 force u = lam^sigma
-        for t in F.units():
-            yield (0, t, ls)
-            yield (t, 0, ls)
-    # second = (u - lam^sigma) / first, one exp lookup on the log of u - ls
-    diffs = [(u, F.dlog(F.sub(u, ls))) for u in nonsquares if u != ls]
     n = F.size - 1
-    exceptional = is_exceptional(cls, q)
+    ls = _lam_sigma(F, cls)
+    zero_rows = [] if cls.form == "dia" else [
+        quad for t in F.units() for quad in ((0, t, ls), (t, 0, ls))]
+    columns = [(u, F.dlog(F.sub(u, ls))) for u in F.units()
+               if not F.is_square(u) and u != ls]
+    if not is_exceptional(cls, q):
+        return zero_rows, columns, lambda k, d: False
     r = q - 1 if cls.form == "dia" else q + 1
+    return zero_rows, columns, lambda k, d: (2 * k - d) * r % n == n // 2
+
+
+def class_quads(F, cls):
+    """All admissible quads against one class, generated deterministically:
+    the zero rows, then the log grid row by row."""
+    zero_rows, columns, drop = _log_grid(F, cls)
+    yield from zero_rows
+    n = F.size - 1
     for k, first in enumerate(F.units()):  # first = xi^k
-        for u, d in diffs:
-            if exceptional and (2 * k - d) * r % n == n // 2:
-                continue
-            yield (first, F.exp[(d - k) % n], u)
+        for u, d in columns:
+            if not drop(k, d):
+                yield (first, F.exp[(d - k) % n], u)
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +183,28 @@ def _image_walk(F, src, dst, moves):
     """walk(quad): the images under log-form moves of the pair a quad
     encodes against src, as a set of quads against dst.  Per walk the logs
     of A's entries are read off the quad and raised to each power the
-    moves take; per image first and second are one exp lookup each and u
-    one Zech lookup.  Each image keeps matrix_quad's checks as asserts
-    against dst, and the walk asserts the images distinct (semiregular)."""
+    moves take.
+
+    The moves are grouped into families that share the power, the four
+    slots, the shape offset and the sum of the first and second offsets.
+    Across a family the corner, shape, first and second logs are the same,
+    and so is e1 + e2, hence u: matrix_quad's checks, as asserts against
+    dst, read the same values on every move of a family and run once per
+    family, u is one Zech lookup and each image's first and second one exp
+    lookup.  An off row with a = 0 or d = 0 keeps u = lam^sigma and its
+    check per image.  The walk asserts the images distinct (semiregular)."""
     n = F.size - 1
     exp, log, zech = F.exp, F.log, F.zech
     lls_src = log[_lam_sigma(F, src)]
     lls = lls_src if dst == src else log[_lam_sigma(F, dst)]
     powers = sorted({move[0] for move in moves})
-    moves = [(powers.index(k), *rest) for k, *rest in moves]
+    families = {}
+    for k, ic, i1, i2, ish, o1, o2, osh in moves:
+        key = (powers.index(k), ic, i1, i2, ish, (o1 + o2) % n, osh)
+        family = families.setdefault(key, ([], []))
+        family[0].append(o1)
+        family[1].append(o2)
+    families = [(*key, o1s, o2s) for key, (o1s, o2s) in families.items()]
     slots, half = _SLOTS[src.form], log[F.neg(1)]
     corner = "%s-shaped partner has nonzero corner" % dst.form
 
@@ -183,24 +214,30 @@ def _image_walk(F, src, dst, moves):
             la[pos] = a
         twists = [[a * k % n if a >= 0 else -1 for a in la] for k in powers]
         images = set()
-        for t, ic, i1, i2, ish, o1, o2, osh in moves:
+        for t, ic, i1, i2, ish, o12, osh, o1s, o2s in families:
             lx = twists[t]
             lc, l1, l2, lsh = lx[ic], lx[i1], lx[i2], lx[ish]
             assert lc >= 0, corner
             assert lsh >= 0 and (lsh - lc + osh) % n == lls, \
                 "partner must keep the involution shape"
             if l1 < 0 or l2 < 0:  # an off row with a = 0 or d = 0
-                first = exp[(l1 - lc + o1) % n] if l1 >= 0 else 0
-                second = exp[(l2 - lc + o2) % n] if l2 >= 0 else 0
-                lu = lls
-            else:
-                e1, e2 = (l1 - lc + o1) % n, (l2 - lc + o2) % n
-                first, second = exp[e1], exp[e2]
-                z = zech[(e1 + e2 - lls) % n]  # u = ls (1 + first second/ls)
-                assert z >= 0, "partner must be twisted in G"
-                lu = (lls + z) % n
+                for o1, o2 in zip(o1s, o2s):
+                    first = exp[(l1 - lc + o1) % n] if l1 >= 0 else 0
+                    second = exp[(l2 - lc + o2) % n] if l2 >= 0 else 0
+                    lu = lls
+                    assert lu % 2, "partner must be twisted in G"
+                    images.add((first, second, exp[lu]))
+                continue
+            b1, b2 = l1 - lc, l2 - lc
+            # e1 + e2 = b1 + b2 + o12; u = ls (1 + first second/ls)
+            z = zech[(b1 + b2 + o12 - lls) % n]
+            assert z >= 0, "partner must be twisted in G"
+            lu = (lls + z) % n
             assert lu % 2, "partner must be twisted in G"
-            images.add((first, second, exp[lu]))
+            u = exp[lu]
+            firsts = [exp[(b1 + o1) % n] for o1 in o1s]
+            seconds = [exp[(b2 + o2) % n] for o2 in o2s]
+            images.update(zip(firsts, seconds, repeat(u)))
         assert len(images) == len(moves), "the action must be semiregular"
         return images
 
@@ -248,15 +285,37 @@ def _frobenius_walk(F, cls, j):
 
 
 def orbit_partition(F, cls):
-    """The class block partitioned into sorted stabilizer orbits."""
+    """The class block partitioned into sorted stabilizer orbits, in the
+    order of their first quads in class_quads.  The zero rows keep
+    u = lam^sigma under every move, so they form orbits of their own and
+    are scanned first.  The log grid is then scanned row by row with one
+    seen byte per quad, at k D + j for first = xi^k and column j of D, so
+    each orbit starts at its first unseen admissible cell."""
     walk = orbit_walker(F, cls)
-    seen = set()
+    zero_rows, columns, drop = _log_grid(F, cls)
+    exp, log, n = F.exp, F.log, F.size - 1
     orbits = []
-    for quad in class_quads(F, cls):
-        if quad not in seen:
+    seen_rows = set()
+    for quad in zero_rows:
+        if quad not in seen_rows:
             orbit = walk(quad)
-            seen.update(orbit)
+            seen_rows.update(orbit)
             orbits.append(sorted(orbit))
+    D = len(columns)
+    column = {u: j for j, (u, _) in enumerate(columns)}
+    seen = bytearray(n * D)
+    cell = seen.find(0)
+    while cell >= 0:
+        k, j = divmod(cell, D)
+        u, d = columns[j]
+        if drop(k, d):
+            seen[cell] = 1
+        else:
+            orbit = walk((exp[k], exp[(d - k) % n], u))
+            for first, _, w in orbit:
+                seen[log[first] * D + column[w]] = 1
+            orbits.append(sorted(orbit))
+        cell = seen.find(0, cell + 1)
     return orbits
 
 
@@ -317,13 +376,30 @@ def generated_level(pair, orders):
 def _row_table(F, B):
     """Right multiplication by B on the rows of a matrix, as points of the
     projective line: entry p is (point, log of lead) of the row (1, p) B,
-    and entry |F| that of (0, 1) B."""
+    and entry |F| that of (0, 1) B.
+
+    Read on logs: for p = xi^k an entry x + p y of the row is
+    x (1 + xi^(k + log y - log x)), one Zech lookup, and the point v/u is
+    one exp lookup."""
+    n, exp, log, zech = F.size - 1, F.exp, F.log, F.zech
+
+    def line(x, y):
+        """logs of x + p y for p = 0, xi^0, ..., xi^(n - 1), -1 for 0"""
+        lx, ly = log[x], log[y]
+        if ly < 0:
+            return [lx] * (n + 1)
+        if lx < 0:
+            return [-1, *((k + ly) % n for k in range(n))]
+        s = (ly - lx) % n
+        return [lx, *((lx + z) % n if z >= 0 else -1
+                      for z in zech[s:] + zech[:s])]
+
     a, b, c, d = B
-    rows = [(F.add(a, F.mul(p, c)), F.add(b, F.mul(p, d)))
-            for p in F.elements()]
-    rows.append((c, d))
-    return [(F.div(v, u), F.log[u]) if u else (F.size, F.log[v])
-            for u, v in rows]
+    rows = [(exp[(lv - lu) % n] if lv >= 0 else 0, lu) if lu >= 0
+            else (F.size, lv)
+            for lu, lv in zip(line(a, c) + [log[c]], line(b, d) + [log[d]])]
+    # row 1 + k is p = xi^k, and log[0] = -1 reads row 0, p = 0
+    return [rows[1 + log[p]] for p in F.elements()] + rows[-1:]
 
 
 def _closure_rows(pair, cap):
@@ -436,13 +512,16 @@ class OrbitRec:
     neg_selfdual: bool
 
 
-def _record_for(F, cls, orbit, inverse):
-    """The record of one orbit.  k and l are the orders of x's class c_x,
-    read by twisted_class, and of cls.  inverse, the class's _inverse_quad,
-    names (x^-1, y^-1).  (y, x) and (y^-1, x^-1) lie in c_x, so only when
-    c_x = cls does canonical_form(x) run: its witness carries (y, x) onto
-    the dual quad, whose inverse names (y^-1, x^-1)."""
-    x, y = quad_pair(F, cls, orbit[0])
+def _record_for(F, cls, orbit, ls, inverse):
+    """The record of one orbit.  x is built from the key and the class's
+    lam^sigma ls, with quad_matrix's admissibility check.  k and l are the
+    orders of x's class c_x, read by twisted_class, and of cls.  inverse,
+    the class's _inverse_quad, names (x^-1, y^-1).  (y, x) and
+    (y^-1, x^-1) lie in c_x, so only when c_x = cls does canonical_form(x)
+    run: its witness carries (y, x) onto the dual quad, whose inverse names
+    (y^-1, x^-1)."""
+    x = TwElem(F, _admissible_matrix(F, cls, ls, orbit[0]), 1)
+    y = canonical_rep(cls, F)
     members = set(orbit)
     q = F.p ** (F.m // 2)
     c_x = twisted_class(x)
@@ -461,12 +540,15 @@ def _record_for(F, cls, orbit, inverse):
 
 
 def orbit_records(q, orbits):
-    """Deterministically ordered OrbitRec rows for every orbit at one q."""
+    """Deterministically ordered OrbitRec rows for every orbit at one q;
+    lam^sigma and the inverse map are built once per class."""
     p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
-    inverses = {cls: _inverse_quad(F, cls) for cls in orbits}
-    return sorted(_record_for(F, cls, orbit, inverses[cls])
-                  for cls, block in orbits.items() for orbit in block)
+    out = []
+    for cls, block in orbits.items():
+        ls, inverse = _lam_sigma(F, cls), _inverse_quad(F, cls)
+        out += (_record_for(F, cls, orbit, ls, inverse) for orbit in block)
+    return sorted(out)
 
 
 def fused_records(bundles):

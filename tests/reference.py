@@ -1,10 +1,14 @@
 """Test references: explicit conjugator witnesses, the three-lookup record
-builder with its pair_key, the TwElem closure, and whole-group enumerators.
+builder with its pair_key, the per-move image walk, the row tables by field
+operations, the TwElem closure, and whole-group enumerators.
 
 No CLI path and no benchmark leg runs any of these.  They stand beside the
 package as slow, direct recomputations: the conjugator searches witness what
 the orbit records answer by lookup, the record builder names every image
-pair with its own canonical form, the closure multiplies TwElems where
+pair with its own canonical form, the per-move walk applies log-form moves
+one at a time where oracle._image_walk applies them by family, the row
+table calls field operations per row where oracle._row_table reads
+exp/log/Zech lookups, the closure multiplies TwElems where
 oracle.closure_order steps rows through tables, the enumerators walk a
 whole group for exhaustive checks at tiny q, and naive_order takes any
 element where twisted_group.order takes only twisted ones.
@@ -14,8 +18,8 @@ from twistedmaps.canonical import (all_classes, canonical_form,
                                    canonical_rep, stabilizer_elements)
 from twistedmaps.gfield import make_field
 from twistedmaps.numth import odd_prime_power
-from twistedmaps.oracle import (OrbitRec, generated_level, matrix_quad,
-                                quad_pair)
+from twistedmaps.oracle import (_SLOTS, OrbitRec, _lam_sigma, generated_level,
+                                matrix_quad, quad_pair)
 from twistedmaps.twisted_group import TwElem, conjugate, iota, mat_det, order
 
 
@@ -117,6 +121,66 @@ def records_by_pair_key(q, orbits):
             for cls, cls_orbits in orbits.items() for orbit in cls_orbits]
     recs.sort()
     return recs
+
+
+# ---------------------------------------------------------------------------
+# log-form moves applied one at a time
+
+def image_walk_by_move(F, src, dst, moves):
+    """Reference for oracle._image_walk: every move is its own image, with
+    matrix_quad's checks as asserts on each, and the walk asserts the
+    images distinct (semiregular)."""
+    n = F.size - 1
+    exp, log, zech = F.exp, F.log, F.zech
+    lls_src = log[_lam_sigma(F, src)]
+    lls = lls_src if dst == src else log[_lam_sigma(F, dst)]
+    powers = sorted({move[0] for move in moves})
+    moves = [(powers.index(k), *rest) for k, *rest in moves]
+    slots, half = _SLOTS[src.form], log[F.neg(1)]
+    corner = "%s-shaped partner has nonzero corner" % dst.form
+
+    def walk(quad):
+        la = [0] * 4  # log[0] is -1, which marks a zero entry
+        for pos, a in zip(slots, (half, log[quad[0]], log[quad[1]], lls_src)):
+            la[pos] = a
+        twists = [[a * k % n if a >= 0 else -1 for a in la] for k in powers]
+        images = set()
+        for t, ic, i1, i2, ish, o1, o2, osh in moves:
+            lx = twists[t]
+            lc, l1, l2, lsh = lx[ic], lx[i1], lx[i2], lx[ish]
+            assert lc >= 0, corner
+            assert lsh >= 0 and (lsh - lc + osh) % n == lls, \
+                "partner must keep the involution shape"
+            if l1 < 0 or l2 < 0:  # an off row with a = 0 or d = 0
+                first = exp[(l1 - lc + o1) % n] if l1 >= 0 else 0
+                second = exp[(l2 - lc + o2) % n] if l2 >= 0 else 0
+                lu = lls
+            else:
+                e1, e2 = (l1 - lc + o1) % n, (l2 - lc + o2) % n
+                first, second = exp[e1], exp[e2]
+                z = zech[(e1 + e2 - lls) % n]  # u = ls (1 + first second/ls)
+                assert z >= 0, "partner must be twisted in G"
+                lu = (lls + z) % n
+            assert lu % 2, "partner must be twisted in G"
+            images.add((first, second, exp[lu]))
+        assert len(images) == len(moves), "the action must be semiregular"
+        return images
+
+    return walk
+
+
+# ---------------------------------------------------------------------------
+# row tables by field operations
+
+def row_table_by_field_ops(F, B):
+    """Reference for oracle._row_table: each row (1, p) B by field
+    multiplications and additions, each point by a division."""
+    a, b, c, d = B
+    rows = [(F.add(a, F.mul(p, c)), F.add(b, F.mul(p, d)))
+            for p in F.elements()]
+    rows.append((c, d))
+    return [(F.div(v, u), F.log[u]) if u else (F.size, F.log[v])
+            for u, v in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,10 @@ from twistedmaps.twisted_group import (TwElem, conjugate, mat_frob, mat_mul,
                                        order)
 
 from reference import (all_group_elements, brute_reflexible,
-                       closure_by_products, is_reflexible, naive_order,
-                       pair_key, records_by_pair_key, self_duality)
+                       closure_by_products, image_walk_by_move,
+                       is_reflexible, naive_order, pair_key,
+                       records_by_pair_key, row_table_by_field_ops,
+                       self_duality)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -257,6 +259,117 @@ def test_partition_walk_rejects_a_move_outside_the_stabilizer(F25,
             oracle.orbit_partition(F25, cls)
 
 
+# sha256 of repr(list(enumerate_orbits(q).items())), which holds the orbit
+# order that _closure_checks samples by; recorded at dd4ae24, before moves
+# were applied by family and the class block scanned on its log grid
+_PARTITION_SHA256 = {
+    3: "245fe70f5a6bd6903e755dcc01414ff01e2aff4b3b7b82aab5b1556cdb6fb97d",
+    5: "6e07d5bc362d8407b9812e94e06f5969a368fc7fd15c1170eed95f6098db8c2a",
+    7: "d9a0c559a9dbcd906ff30c2d8bf442fc248b8934ef1c43b6e7fe07aa87f1b92f",
+    9: "b7af77bbef81da6fafca9b6b26ba664140931008dc90b75c3ddc42ebc853d00a",
+    11: "6db05dc07694cc7bbe78f6cda7d5375bf39e624d7ec6b11300353e618191588b",
+    13: "7dd1504197de033ef70e0281dd5d136449139277ded6b757e06d9658291c3a0c",
+    17: "9fddaa00e9ecb6a0c845869d96e655538a698bc027066daade52ebe18777edcb",
+    19: "51c5b4a355644bb3a1fbd380d3f06258a7641d48c688ab8bbf17897a4689a217",
+    23: "b1696c599243d0255cf4d858581c4d9f0c2b3fc9b2cca5418fd9baef45593b88",
+    25: "c5e0a386c5b5084a32f056ae6e982163e7842021984b4d3c07b84ad9a17a6f45",
+    27: "af2698ccb8499ddfef88ecf4bba64a7c410c14a246ea810416e4ccd22a7a86e9",
+}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13,
+                               pytest.param(17, marks=pytest.mark.extended),
+                               pytest.param(19, marks=pytest.mark.extended),
+                               pytest.param(23, marks=pytest.mark.extended),
+                               pytest.param(25, marks=pytest.mark.extended),
+                               pytest.param(27, marks=pytest.mark.stretch)])
+def test_partition_matches_its_pinned_digest(q):
+    assert _partition_digest(enumerate_orbits(q)) == _PARTITION_SHA256[q]
+
+
+def _partition_digest(orbits):
+    """sha256 of repr(list(orbits.items())), hashed one orbit at a time:
+    at q = 27 the whole repr is 61 MB, twice that with its encoding, which
+    this process would keep resident for the fresh-process memory test
+    after it.  The digests were recorded from the whole repr."""
+    h = hashlib.sha256(b"[")
+    for i, (cls, block) in enumerate(orbits.items()):
+        h.update(("%s(%r, [" % (", " if i else "", cls)).encode())
+        for j, orbit in enumerate(block):
+            h.update(("%s%r" % (", " if j else "", orbit)).encode())
+        h.update(b"])")
+    h.update(b"]")
+    return h.hexdigest()
+
+
+def _walks_against_the_per_move_reference(monkeypatch, F, orbits, members):
+    """Run the stabilizer, inverse and Frobenius walks of every class from
+    the chosen members of each orbit, each _image_walk checked image set
+    for image set against the per-move reference walk on the same moves;
+    returns the number of walks compared."""
+    compared = [0]
+    real = oracle._image_walk
+
+    def checked(F, src, dst, moves):
+        walk, ref = real(F, src, dst, moves), image_walk_by_move(F, src, dst,
+                                                                 moves)
+
+        def both(quad):
+            images = walk(quad)
+            assert images == ref(quad)
+            compared[0] += 1
+            return images
+
+        return both
+
+    monkeypatch.setattr(oracle, "_image_walk", checked)
+    f = F.m // 2
+    for cls, cls_orbits in orbits.items():
+        walks = [oracle.orbit_walker(F, cls), oracle._inverse_quad(F, cls)]
+        walks += [oracle._frobenius_walk(F, cls, j)[1] for j in range(1, f)]
+        for orbit in cls_orbits:
+            for quad in members(orbit):
+                for walk in walks:
+                    walk(quad)
+    return compared[0]
+
+
+def test_image_walk_matches_the_per_move_reference(monkeypatch, F9, F25, F49,
+                                                   F81, orbits3, orbits5,
+                                                   orbits7, orbits9):
+    # every quad at q <= 9: dia and off, generic and exceptional classes,
+    # and the Frobenius moves of f = 2 at q = 9, which alone make 15,680
+    # walks there
+    compared = [_walks_against_the_per_move_reference(
+        monkeypatch, F, orbits, lambda orbit: orbit)
+        for F, orbits in ((F9, orbits3), (F25, orbits5), (F49, orbits7),
+                          (F81, orbits9))]
+    assert compared == [2 * 56, 2 * 816, 2 * 4464, 3 * 15680]
+
+
+@pytest.mark.parametrize("q", [11, pytest.param(25,
+                                                marks=pytest.mark.extended)])
+def test_image_walk_matches_the_per_move_reference_sampled(monkeypatch, q):
+    # one seeded member per orbit; q = 11 adds a dia exceptional class and
+    # q = 25 the Frobenius moves of a second f = 2 field
+    p, f = odd_prime_power(q)
+    orbits = enumerate_orbits(q)
+    rng = random.Random(q)
+    compared = _walks_against_the_per_move_reference(
+        monkeypatch, make_field(p, 2 * f), orbits,
+        lambda orbit: [rng.choice(orbit)])
+    assert compared == (f + 1) * sum(map(len, orbits.values()))
+
+
+def test_row_tables_match_the_field_operation_reference():
+    # random matrices over GF(3^6), zero entries and singular ones included
+    F = make_field(3, 6)
+    rng = random.Random(36)
+    for _ in range(200):
+        B = tuple(rng.choice((0, 1, rng.randrange(F.size))) for _ in range(4))
+        assert oracle._row_table(F, B) == row_table_by_field_ops(F, B)
+
+
 def test_partition_builds_no_partner_matrix(monkeypatch):
     calls = _count_calls(monkeypatch, oracle, "quad_matrix")
     orbits = enumerate_orbits(5)
@@ -397,6 +510,16 @@ def test_records_name_inverse_pairs_without_conjugation(monkeypatch,
     orbit_records(9, orbits9)
     assert [c[0] for c in calls] == [162, 162]
     assert quads[0] == 162
+
+
+def test_records_take_lam_sigma_once_per_class(monkeypatch, orbits9):
+    # orbit_records hands each class's lam^sigma to its records: one for
+    # the class and one for its inverse map, plus one in each of the 162
+    # dual-quad matrix_quad calls (957, 790 of them one per record key,
+    # when each record rebuilt x through quad_pair)
+    calls = _count_calls(monkeypatch, oracle, "_lam_sigma")
+    orbit_records(9, orbits9)
+    assert calls[0] == 2 * len(orbits9) + 162 == 172
 
 
 _RECORDS_SHA256 = {
