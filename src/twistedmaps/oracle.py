@@ -18,11 +18,13 @@ Every fixed image of a quad is one log-form move (_log_move): x ->
 g^-1 T(x) g, g monomial and T an entrywise p^e power or the inverse, read
 against one class and written against another; _image_walk is the one
 loop that applies moves, by families whose moves share every value the
-shape and twist checks read, so each check runs once per family.  The
-stabilizer's moves walk an orbit (orbit_walker), one move names the
-inverse pair (_inverse_quad), and the moves of phi^j(g) w walk a
-Frobenius image's orbit (_frobenius_walk).  orbit_partition scans a
-class block's log grid (_log_grid) with one seen byte per quad.  A
+shape and twist checks read, so each check runs once per family.  Each
+family is a coset of first offsets, so its images are two strided
+slices of the exp table.  The stabilizer's moves walk an orbit
+(orbit_walker), one move names the inverse pair (_inverse_quad), and the
+moves of phi^j(g) w walk a Frobenius image's orbit (_frobenius_walk).
+orbit_partition scans a class block's log grid (_log_grid) with one seen
+byte per quad and marks each family as one strided slice of it.  A
 record asks whether (x^-1, y^-1), (y, x) and (y^-1, x^-1) lie in its
 orbit; only (y, x) takes a canonical form, of x, where x shares y's class.
 Galois fusion names each image as a record is named, (class, least quad).
@@ -80,16 +82,18 @@ def quad_pair(F, cls, quad):
     return TwElem(F, quad_matrix(F, cls, quad), 1), canonical_rep(cls, F)
 
 
-def matrix_quad(F, cls, M):
+def matrix_quad(F, cls, M, ls=None):
     """Quad of a matrix M that is projectively in the shape paired with the
     class representative; shape violations raise.  M scales to a matrix of
     determinant -u (dia) or u (off), so asserting u a non-square asserts
-    that M is nonsingular with the determinant class of a twisted x."""
+    that M is nonsingular with the determinant class of a twisted x.  ls,
+    the class's lam^sigma, is computed unless given."""
     corner, first, second, shape = (M[pos] for pos in _SLOTS[cls.form])
     assert corner != 0, "%s-shaped partner has nonzero corner" % cls.form
     s = F.neg(F.inv(corner))
     first, second = F.mul(s, first), F.mul(s, second)
-    ls = _lam_sigma(F, cls)
+    if ls is None:
+        ls = _lam_sigma(F, cls)
     assert F.mul(s, shape) == ls, "partner must keep the involution shape"
     u = F.add(F.mul(first, second), ls)
     assert u != 0 and not F.is_square(u), "partner must be twisted in G"
@@ -181,20 +185,28 @@ def _log_move(F, cls, g, e=0, adj=False):
 
 def _image_walk(F, src, dst, moves):
     """walk(quad): the images under log-form moves of the pair a quad
-    encodes against src, as a set of quads against dst.  Per walk the logs
-    of A's entries are read off the quad and raised to each power the
-    moves take.
+    encodes against src, as a list of quads against dst, family by family.
+    Per walk the logs of A's entries are read off the quad and raised to
+    each power the moves take.
 
     The moves are grouped into families that share the power, the four
-    slots, the shape offset and the sum of the first and second offsets.
-    Across a family the corner, shape, first and second logs are the same,
-    and so is e1 + e2, hence u: matrix_quad's checks, as asserts against
-    dst, read the same values on every move of a family and run once per
-    family, u is one Zech lookup and each image's first and second one exp
-    lookup.  An off row with a = 0 or d = 0 keeps u = lam^sigma and its
-    check per image.  The walk asserts the images distinct (semiregular)."""
+    slots, the shape offset and the sum o12 of the first and second
+    offsets.  Across a family the corner, shape, first and second logs are
+    the same, and so is e1 + e2, hence u: matrix_quad's checks, as asserts
+    against dst, read the same values on every move of a family and run
+    once per family, and u is one Zech lookup.  Every family is a coset:
+    its first offsets are r + t s, 0 <= t < m, for one size m and stride
+    s = n/m, n = |F| - 1, across the walker (asserted when it is built).
+    So a family's first logs are the residue class rho = b1 + r mod s,
+    b1 = l1 - lc, its images are (exp[rho::s], the seconds, u) with the
+    seconds a reversed slice of exp + exp at b1 + b2 + o12 - rho, and two
+    families share an image only if they share the cell (u, rho).  The
+    walk asserts the cells distinct (semiregular).  An off row with a = 0
+    or d = 0 keeps u = lam^sigma and its checks per image, and each such
+    image is a cell of its own.  walk.family_size is m."""
     n = F.size - 1
     exp, log, zech = F.exp, F.log, F.zech
+    exp2 = exp + exp
     lls_src = log[_lam_sigma(F, src)]
     lls = lls_src if dst == src else log[_lam_sigma(F, dst)]
     powers = sorted({move[0] for move in moves})
@@ -204,7 +216,13 @@ def _image_walk(F, src, dst, moves):
         family = families.setdefault(key, ([], []))
         family[0].append(o1)
         family[1].append(o2)
-    families = [(*key, o1s, o2s) for key, (o1s, o2s) in families.items()]
+    m = len(moves) // len(families)
+    s = n // m
+    for o1s, _ in families.values():
+        assert m * s == n and sorted(o1s) == list(range(o1s[0] % s, n, s)), \
+            "each move family must be a coset of one size"
+    families = [(*key, o1s[0] % s, o1s, o2s)
+                for key, (o1s, o2s) in families.items()]
     slots, half = _SLOTS[src.form], log[F.neg(1)]
     corner = "%s-shaped partner has nonzero corner" % dst.form
 
@@ -213,8 +231,8 @@ def _image_walk(F, src, dst, moves):
         for pos, a in zip(slots, (half, log[quad[0]], log[quad[1]], lls_src)):
             la[pos] = a
         twists = [[a * k % n if a >= 0 else -1 for a in la] for k in powers]
-        images = set()
-        for t, ic, i1, i2, ish, o12, osh, o1s, o2s in families:
+        images, cells = [], []
+        for t, ic, i1, i2, ish, o12, osh, r, o1s, o2s in families:
             lx = twists[t]
             lc, l1, l2, lsh = lx[ic], lx[i1], lx[i2], lx[ish]
             assert lc >= 0, corner
@@ -226,7 +244,8 @@ def _image_walk(F, src, dst, moves):
                     second = exp[(l2 - lc + o2) % n] if l2 >= 0 else 0
                     lu = lls
                     assert lu % 2, "partner must be twisted in G"
-                    images.add((first, second, exp[lu]))
+                    images.append((first, second, exp[lu]))
+                    cells.append(images[-1])
                 continue
             b1, b2 = l1 - lc, l2 - lc
             # e1 + e2 = b1 + b2 + o12; u = ls (1 + first second/ls)
@@ -234,20 +253,21 @@ def _image_walk(F, src, dst, moves):
             assert z >= 0, "partner must be twisted in G"
             lu = (lls + z) % n
             assert lu % 2, "partner must be twisted in G"
-            u = exp[lu]
-            firsts = [exp[(b1 + o1) % n] for o1 in o1s]
-            seconds = [exp[(b2 + o2) % n] for o2 in o2s]
-            images.update(zip(firsts, seconds, repeat(u)))
-        assert len(images) == len(moves), "the action must be semiregular"
+            rho = (b1 + r) % s
+            c = (b1 + b2 + o12 - rho) % n + n  # log of second at first xi^rho
+            images += zip(exp[rho::s], exp2[c:c - n:-s], repeat(exp[lu]))
+            cells.append((lu, rho))
+        assert len(set(cells)) == len(cells), "the action must be semiregular"
         return images
 
+    walk.family_size = m
     return walk
 
 
 def orbit_walker(F, cls):
-    """walk(quad): the set of quads in quad's stabilizer orbit, the
-    stabilizer's moves through _image_walk.  Each walk asserts that quad is
-    a member, which the identity move makes fail unless u is
+    """walk(quad): the quads in quad's stabilizer orbit, the stabilizer's
+    moves through _image_walk, as its list of families.  Each walk asserts
+    that quad is a member, which the identity move makes fail unless u is
     first*second + lam^sigma."""
     walk = _image_walk(F, cls, cls, [_log_move(F, cls, g)
                                      for g in stabilizer_elements(cls, F)])
@@ -257,6 +277,7 @@ def orbit_walker(F, cls):
         assert quad in orbit
         return orbit
 
+    members.family_size = walk.family_size
     return members
 
 
@@ -290,7 +311,11 @@ def orbit_partition(F, cls):
     u = lam^sigma under every move, so they form orbits of their own and
     are scanned first.  The log grid is then scanned row by row with one
     seen byte per quad, at k D + j for first = xi^k and column j of D, so
-    each orbit starts at its first unseen admissible cell."""
+    each orbit starts at its first unseen admissible cell.  A walk's
+    family of m images with first logs rho + t s fills rows k = rho mod s
+    of one column j, the slice [rho D + j :: s D] of m bytes, read off its
+    first image; the slice is asserted unseen before it is marked, so the
+    orbits are disjoint."""
     walk = orbit_walker(F, cls)
     zero_rows, columns, drop = _log_grid(F, cls)
     exp, log, n = F.exp, F.log, F.size - 1
@@ -303,6 +328,8 @@ def orbit_partition(F, cls):
             orbits.append(sorted(orbit))
     D = len(columns)
     column = {u: j for j, (u, _) in enumerate(columns)}
+    m = walk.family_size
+    step, unseen, marked = n // m * D, bytes(m), b"\1" * m
     seen = bytearray(n * D)
     cell = seen.find(0)
     while cell >= 0:
@@ -312,8 +339,10 @@ def orbit_partition(F, cls):
             seen[cell] = 1
         else:
             orbit = walk((exp[k], exp[(d - k) % n], u))
-            for first, _, w in orbit:
-                seen[log[first] * D + column[w]] = 1
+            for first, _, w in orbit[::m]:
+                family = slice(log[first] * D + column[w], None, step)
+                assert seen[family] == unseen, "orbits must be disjoint"
+                seen[family] = marked
             orbits.append(sorted(orbit))
         cell = seen.find(0, cell + 1)
     return orbits
@@ -513,13 +542,13 @@ class OrbitRec:
 
 
 def _record_for(F, cls, orbit, ls, inverse):
-    """The record of one orbit.  x is built from the key and the class's
-    lam^sigma ls, with quad_matrix's admissibility check.  k and l are the
-    orders of x's class c_x, read by twisted_class, and of cls.  inverse,
-    the class's _inverse_quad, names (x^-1, y^-1).  (y, x) and
-    (y^-1, x^-1) lie in c_x, so only when c_x = cls does canonical_form(x)
-    run: its witness carries (y, x) onto the dual quad, whose inverse names
-    (y^-1, x^-1)."""
+    """The record of one orbit.  x and the dual quad are built with the
+    class's lam^sigma ls, x with quad_matrix's admissibility check and the
+    dual quad with matrix_quad's asserts.  k and l are the orders of x's
+    class c_x, read by twisted_class, and of cls.  inverse, the class's
+    _inverse_quad, names (x^-1, y^-1).  (y, x) and (y^-1, x^-1) lie in
+    c_x, so only when c_x = cls does canonical_form(x) run: its witness
+    carries (y, x) onto the dual quad, whose inverse names (y^-1, x^-1)."""
     x = TwElem(F, _admissible_matrix(F, cls, ls, orbit[0]), 1)
     y = canonical_rep(cls, F)
     members = set(orbit)
@@ -528,7 +557,8 @@ def _record_for(F, cls, orbit, ls, inverse):
     k, l = canonical_order(c_x, q), canonical_order(cls, q)
     pos_selfdual = neg_selfdual = False
     if c_x == cls:
-        dual = matrix_quad(F, cls, conjugate(y, canonical_form(x)[1]).matrix)
+        dual = matrix_quad(F, cls, conjugate(y, canonical_form(x)[1]).matrix,
+                           ls)
         pos_selfdual = dual in members
         neg_selfdual = inverse(dual) in members
     return OrbitRec(

@@ -24,11 +24,15 @@ def test_is_prime_matches_a_sieve():
 
 def test_primality_queries_keep_no_memory():
     # a memo on factorize would keep every query for the life of the
-    # process: 18-33 MB for these 10^5, where the plain calls keep none
-    code = ("import resource\n"
-            "from twistedmaps.numth import is_prime\n"
+    # process: about 33 MB for these 10^5, where the plain calls keep none.
+    # The child reads its own high-water mark, VmHWM: its ru_maxrss would
+    # start at the resident size of this process, inherited across fork
+    # and exec, and hide the growth
+    code = ("from twistedmaps.numth import is_prime\n"
             "def rss_kb():\n"
-            "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(next(line for line in status\n"
+            "                        if line.startswith('VmHWM:')).split()[1])\n"
             "before = rss_kb()\n"
             "for k in range(10 ** 5):\n"
             "    is_prime(k)\n"

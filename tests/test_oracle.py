@@ -226,7 +226,8 @@ def test_act_quad_keeps_each_orbit(F9, F25, F49, F81, orbits3, orbits5,
     # images of each first quad are the whole orbit, and a walk started at
     # any member, as fusion starts one at a Frobenius image, is that
     # member's image set; every member at q <= 7, one seeded member per
-    # orbit at q = 9 and 11, where q = 11 adds a dia exceptional class
+    # orbit at q = 9 and 11, where q = 11 adds a dia exceptional class.
+    # Sorted lists, not sets, so a walk that repeats an image fails
     rng = random.Random(11)
     for F, orbits, every in ((F9, orbits3, True), (F25, orbits5, True),
                              (F49, orbits7, True), (F81, orbits9, False),
@@ -235,28 +236,35 @@ def test_act_quad_keeps_each_orbit(F9, F25, F49, F81, orbits3, orbits5,
             stab = stabilizer_elements(cls, F)
             walk = oracle.orbit_walker(F, cls)
             for orbit in cls_orbits:
-                assert set(orbit) == {act_quad(F, cls, g, orbit[0])
-                                      for g in stab}
+                assert orbit == sorted(act_quad(F, cls, g, orbit[0])
+                                       for g in stab)
                 for quad in orbit if every else [rng.choice(orbit)]:
-                    assert walk(quad) == {act_quad(F, cls, g, quad)
-                                          for g in stab}
+                    assert sorted(walk(quad)) == sorted(
+                        act_quad(F, cls, g, quad) for g in stab)
 
 
 def test_partition_walk_rejects_a_move_outside_the_stabilizer(F25,
                                                              monkeypatch):
     # [dia(xi, 1), 0] in place of the identity gives a monomial move like
-    # every other, but it scales one row and one column, so the walk's
-    # shape check must refuse it
+    # every other, but it scales one row and one column, so its family is
+    # no longer a coset and the walker refuses it when it is built.  Every
+    # element skewed by [dia(xi, 1), 0] keeps each family a coset, so the
+    # walk's shape check must refuse those moves
     real = oracle.stabilizer_elements
+    skew = TwElem(F25, (F25.xi, 0, 0, 1), 0)
 
-    def skewed(cls, F):
-        return [TwElem(F, (F.xi, 0, 0, 1), 0) if g.is_identity() else g
-                for g in real(cls, F)]
+    def skewed_identity(cls, F):
+        return [skew if g.is_identity() else g for g in real(cls, F)]
 
-    monkeypatch.setattr(oracle, "stabilizer_elements", skewed)
-    for cls in all_classes(5):
-        with pytest.raises(AssertionError, match="involution shape"):
-            oracle.orbit_partition(F25, cls)
+    def skewed_all(cls, F):
+        return [skew * g for g in real(cls, F)]
+
+    for stabilizer, message in ((skewed_identity, "coset of one size"),
+                                (skewed_all, "involution shape")):
+        monkeypatch.setattr(oracle, "stabilizer_elements", stabilizer)
+        for cls in all_classes(5):
+            with pytest.raises(AssertionError, match=message):
+                oracle.orbit_partition(F25, cls)
 
 
 # sha256 of repr(list(enumerate_orbits(q).items())), which holds the orbit
@@ -304,9 +312,9 @@ def _partition_digest(orbits):
 
 def _walks_against_the_per_move_reference(monkeypatch, F, orbits, members):
     """Run the stabilizer, inverse and Frobenius walks of every class from
-    the chosen members of each orbit, each _image_walk checked image set
-    for image set against the per-move reference walk on the same moves;
-    returns the number of walks compared."""
+    the chosen members of each orbit, each _image_walk checked against the
+    per-move reference walk on the same moves as sorted lists, so repeated
+    images fail; returns the number of walks compared."""
     compared = [0]
     real = oracle._image_walk
 
@@ -316,10 +324,11 @@ def _walks_against_the_per_move_reference(monkeypatch, F, orbits, members):
 
         def both(quad):
             images = walk(quad)
-            assert images == ref(quad)
+            assert sorted(images) == sorted(ref(quad))
             compared[0] += 1
             return images
 
+        both.family_size = walk.family_size
         return both
 
     monkeypatch.setattr(oracle, "_image_walk", checked)
@@ -359,6 +368,46 @@ def test_image_walk_matches_the_per_move_reference_sampled(monkeypatch, q):
         monkeypatch, make_field(p, 2 * f), orbits,
         lambda orbit: [rng.choice(orbit)])
     assert compared == (f + 1) * sum(map(len, orbits.values()))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 49,
+                               81])
+def test_move_families_are_cosets_of_one_size(monkeypatch, q):
+    # regrouped here as _image_walk groups them, every family of the
+    # stabilizer's, the inverse's and each Frobenius power's moves has
+    # first offsets {r + t s : 0 <= t < m}, s = n/m, one m per walker, which
+    # lets a walk take a family's images, and the partition its seen
+    # bytes, as slices
+    built = []
+    real = oracle._image_walk
+
+    def recorded(F, src, dst, moves):
+        walk = real(F, src, dst, moves)
+        built.append((walk.family_size, moves))
+        return walk
+
+    monkeypatch.setattr(oracle, "_image_walk", recorded)
+    p, f = odd_prime_power(q)
+    F = make_field(p, 2 * f)
+    n = F.size - 1
+    for cls in all_classes(q):
+        oracle.orbit_walker(F, cls)
+        oracle._inverse_quad(F, cls)
+        for j in range(1, f):
+            oracle._frobenius_walk(F, cls, j)
+    assert len(built) == (f + 1) * len(all_classes(q))
+    for m, moves in built:
+        families = {}
+        for k, ic, i1, i2, ish, o1, o2, osh in moves:
+            key = (k, ic, i1, i2, ish, (o1 + o2) % n, osh)
+            families.setdefault(key, []).append(o1)
+        assert {len(o1s) for o1s in families.values()} == {m}
+        sizes = (1,) if len(moves) == 1 else (q - 1, q + 1)
+        assert n % m == 0 and m in sizes
+        for o1s in families.values():
+            r = min(o1s)
+            assert r < n // m
+            assert sorted(o1s) == list(range(r, n, n // m))
 
 
 def test_row_tables_match_the_field_operation_reference():
@@ -422,12 +471,13 @@ def _check_frobenius_images(F, orbits, j, members):
         c, images = oracle._frobenius_walk(F, cls, j)
         walk = oracle.orbit_walker(F, c)
         for orbit in cls_orbits:
-            image = images(orbit[0])
+            image = sorted(images(orbit[0]))
             for quad in members(orbit):
                 phi_pair = (TwElem(F, mat_frob(F, g.matrix, j), g.i)
                             for g in quad_pair(F, cls, quad))
                 ref_cls, ref = pair_key(F, *phi_pair)
-                assert ref_cls == c and walk(ref) == images(quad) == image
+                assert ref_cls == c
+                assert sorted(walk(ref)) == sorted(images(quad)) == image
 
 
 def test_frobenius_images_match_the_reference_keys_q9(F81, orbits9):
@@ -513,13 +563,14 @@ def test_records_name_inverse_pairs_without_conjugation(monkeypatch,
 
 
 def test_records_take_lam_sigma_once_per_class(monkeypatch, orbits9):
-    # orbit_records hands each class's lam^sigma to its records: one for
-    # the class and one for its inverse map, plus one in each of the 162
-    # dual-quad matrix_quad calls (957, 790 of them one per record key,
-    # when each record rebuilt x through quad_pair)
+    # orbit_records hands each class's lam^sigma to its records and their
+    # dual quads: one for the class and one for its inverse map (957, 790
+    # of them one per record key, when each record rebuilt x through
+    # quad_pair, and 172, 162 of them one per dual quad, when matrix_quad
+    # took its own)
     calls = _count_calls(monkeypatch, oracle, "_lam_sigma")
     orbit_records(9, orbits9)
-    assert calls[0] == 2 * len(orbits9) + 162 == 172
+    assert calls[0] == 2 * len(orbits9) == 10
 
 
 _RECORDS_SHA256 = {
@@ -841,17 +892,20 @@ def test_fusion_bundles_name_orbits_by_record_key(F81, orbits9, records9):
 
 @pytest.mark.stretch
 def test_fusion_at_q27_stays_below_400_mb():
-    # partition, records and fusion in a fresh process, so ru_maxrss is
-    # theirs
+    # partition, records and fusion in a fresh process, which reads its own
+    # high-water mark, VmHWM: its ru_maxrss would start at the resident size
+    # of this process, inherited across fork and exec
     code = textwrap.dedent("""
-        import json, resource
+        import json
         from collections import Counter
         from twistedmaps.oracle import (enumerate_orbits, galois_fuse,
                                         orbit_records)
         bundles = galois_fuse(orbit_records(27, enumerate_orbits(27)), 3, 3)
+        with open("/proc/self/status") as status:
+            hwm = next(line for line in status if line.startswith("VmHWM:"))
         print(json.dumps({
             "sizes": sorted(Counter(len(b) for b in bundles).items()),
-            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+            "maxrss_kb": int(hwm.split()[1])}))
     """)
     src = str(Path(oracle.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
