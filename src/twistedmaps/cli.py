@@ -110,9 +110,11 @@ REFLEX_KEYS = ("dia_plain", "dia_twisted", "off_plain", "off_twisted",
 
 
 def _digit_limit():
-    """The interpreter's cap on the decimal digits of a printed int, 0 for
-    none (sys.get_int_max_str_digits, Python 3.10.7+)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """The interpreter's cap on the decimal digits of a printed int
+    (sys.get_int_max_str_digits, Python 3.10.7+), or Python's default cap
+    of 4300 where it sets none, so count never builds an unbounded
+    number to print."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _check_printable(values):
@@ -120,10 +122,10 @@ def _check_printable(values):
     more decimal digits than _digit_limit(); refuse up front so no output
     is half written."""
     limit = _digit_limit()
-    if limit and any(abs(v) >= 10 ** limit for v in values):
+    if any(abs(v) >= 10 ** limit for v in values):
         raise ResourceLimitError(
-            "a count has more than %d decimal digits, the interpreter's "
-            "limit for integer string conversion" % limit)
+            "a count has more than %d decimal digits, the limit for "
+            "integer string conversion" % limit)
 
 
 def cmd_count(args):

@@ -19,12 +19,11 @@ g^-1 T(x) g, g monomial and T an entrywise p^e power or the inverse, read
 against one class and written against another; _image_walk is the one
 loop that applies moves, by families whose moves share every value the
 shape and twist checks read, so each check runs once per family.  Each
-family is a coset of first offsets, so its images are two strided
-slices of the exp table.  The stabilizer's moves walk an orbit
-(orbit_walker), one move names the inverse pair (_inverse_quad), and the
-moves of phi^j(g) w walk a Frobenius image's orbit (_frobenius_walk).
-orbit_partition scans a class block's log grid (_log_grid) with one seen
-byte per quad and marks each family as one strided slice of it.  A
+family is a coset of first offsets, so its images are strided slices of
+the exp table.  The stabilizer's moves walk an orbit (orbit_walker), one
+move names the inverse pair (_inverse_quad), and the moves of phi^j(g) w
+walk a Frobenius image's orbit (_frobenius_walk).  orbit_partition scans
+a class block's log grid (_log_grid) with one seen byte per family.  A
 record asks whether (x^-1, y^-1), (y, x) and (y^-1, x^-1) lie in its
 orbit; only (y, x) takes a canonical form, of x, where x shares y's class.
 Galois fusion names each image as a record is named, (class, least quad).
@@ -63,12 +62,8 @@ _SLOTS = {"dia": (0, 1, 2, 3), "off": (2, 0, 3, 1)}
 def quad_matrix(F, cls, quad):
     """Matrix A of the twisted x = [A, 1] a quad encodes against one class;
     raises ValueError unless u is the non-square first*second + lam^sigma."""
-    return _admissible_matrix(F, cls, _lam_sigma(F, cls), quad)
-
-
-def _admissible_matrix(F, cls, ls, quad):
-    """quad_matrix with the class's lam^sigma ls given."""
     first, second, u = quad
+    ls = _lam_sigma(F, cls)
     if F.add(F.mul(first, second), ls) != u or F.is_square(u):
         raise ValueError("quad %r is not admissible against %r" % (quad, cls))
     A = [0] * 4
@@ -82,18 +77,16 @@ def quad_pair(F, cls, quad):
     return TwElem(F, quad_matrix(F, cls, quad), 1), canonical_rep(cls, F)
 
 
-def matrix_quad(F, cls, M, ls=None):
+def matrix_quad(F, cls, M):
     """Quad of a matrix M that is projectively in the shape paired with the
     class representative; shape violations raise.  M scales to a matrix of
     determinant -u (dia) or u (off), so asserting u a non-square asserts
-    that M is nonsingular with the determinant class of a twisted x.  ls,
-    the class's lam^sigma, is computed unless given."""
+    that M is nonsingular with the determinant class of a twisted x."""
     corner, first, second, shape = (M[pos] for pos in _SLOTS[cls.form])
     assert corner != 0, "%s-shaped partner has nonzero corner" % cls.form
     s = F.neg(F.inv(corner))
     first, second = F.mul(s, first), F.mul(s, second)
-    if ls is None:
-        ls = _lam_sigma(F, cls)
+    ls = _lam_sigma(F, cls)
     assert F.mul(s, shape) == ls, "partner must keep the involution shape"
     u = F.add(F.mul(first, second), ls)
     assert u != 0 and not F.is_square(u), "partner must be twisted in G"
@@ -200,29 +193,29 @@ def _image_walk(F, src, dst, moves):
     So a family's first logs are the residue class rho = b1 + r mod s,
     b1 = l1 - lc, its images are (exp[rho::s], the seconds, u) with the
     seconds a reversed slice of exp + exp at b1 + b2 + o12 - rho, and two
-    families share an image only if they share the cell (u, rho).  The
-    walk asserts the cells distinct (semiregular).  An off row with a = 0
-    or d = 0 keeps u = lam^sigma and its checks per image, and each such
-    image is a cell of its own.  walk.family_size is m."""
+    families share an image only if they share the cell (u, rho).  An off
+    row with a = 0 or d = 0 keeps u = lam^sigma, and its nonzero entry's
+    logs are the residue class rho = b1 + r (second = 0) or
+    b2 + o12 - r (first = 0) mod s, the cell (-1, rho) or (-2, rho).  The
+    walk asserts the cells distinct (semiregular).  walk.family_size is
+    m."""
     n = F.size - 1
     exp, log, zech = F.exp, F.log, F.zech
     exp2 = exp + exp
     lls_src = log[_lam_sigma(F, src)]
     lls = lls_src if dst == src else log[_lam_sigma(F, dst)]
+    ls = exp[lls]
     powers = sorted({move[0] for move in moves})
     families = {}
     for k, ic, i1, i2, ish, o1, o2, osh in moves:
         key = (powers.index(k), ic, i1, i2, ish, (o1 + o2) % n, osh)
-        family = families.setdefault(key, ([], []))
-        family[0].append(o1)
-        family[1].append(o2)
+        families.setdefault(key, []).append(o1)
     m = len(moves) // len(families)
     s = n // m
-    for o1s, _ in families.values():
+    for o1s in families.values():
         assert m * s == n and sorted(o1s) == list(range(o1s[0] % s, n, s)), \
             "each move family must be a coset of one size"
-    families = [(*key, o1s[0] % s, o1s, o2s)
-                for key, (o1s, o2s) in families.items()]
+    families = [(*key, o1s[0] % s) for key, o1s in families.items()]
     slots, half = _SLOTS[src.form], log[F.neg(1)]
     corner = "%s-shaped partner has nonzero corner" % dst.form
 
@@ -232,22 +225,23 @@ def _image_walk(F, src, dst, moves):
             la[pos] = a
         twists = [[a * k % n if a >= 0 else -1 for a in la] for k in powers]
         images, cells = [], []
-        for t, ic, i1, i2, ish, o12, osh, r, o1s, o2s in families:
+        for t, ic, i1, i2, ish, o12, osh, r in families:
             lx = twists[t]
             lc, l1, l2, lsh = lx[ic], lx[i1], lx[i2], lx[ish]
             assert lc >= 0, corner
             assert lsh >= 0 and (lsh - lc + osh) % n == lls, \
                 "partner must keep the involution shape"
-            if l1 < 0 or l2 < 0:  # an off row with a = 0 or d = 0
-                for o1, o2 in zip(o1s, o2s):
-                    first = exp[(l1 - lc + o1) % n] if l1 >= 0 else 0
-                    second = exp[(l2 - lc + o2) % n] if l2 >= 0 else 0
-                    lu = lls
-                    assert lu % 2, "partner must be twisted in G"
-                    images.append((first, second, exp[lu]))
-                    cells.append(images[-1])
-                continue
             b1, b2 = l1 - lc, l2 - lc
+            if l1 < 0 or l2 < 0:  # an off row with a = 0 or d = 0: u = ls
+                assert lls % 2, "partner must be twisted in G"
+                if l2 < 0:  # second = 0
+                    rho = (b1 + r) % s
+                    images += zip(exp[rho::s], repeat(0), repeat(ls))
+                else:  # first = 0
+                    rho = (b2 + o12 - r) % s
+                    images += zip(repeat(0), exp[rho::s], repeat(ls))
+                cells.append((-1 if l2 < 0 else -2, rho))
+                continue
             # e1 + e2 = b1 + b2 + o12; u = ls (1 + first second/ls)
             z = zech[(b1 + b2 + o12 - lls) % n]
             assert z >= 0, "partner must be twisted in G"
@@ -266,19 +260,9 @@ def _image_walk(F, src, dst, moves):
 
 def orbit_walker(F, cls):
     """walk(quad): the quads in quad's stabilizer orbit, the stabilizer's
-    moves through _image_walk, as its list of families.  Each walk asserts
-    that quad is a member, which the identity move makes fail unless u is
-    first*second + lam^sigma."""
-    walk = _image_walk(F, cls, cls, [_log_move(F, cls, g)
+    moves through _image_walk, as its list of families."""
+    return _image_walk(F, cls, cls, [_log_move(F, cls, g)
                                      for g in stabilizer_elements(cls, F)])
-
-    def members(quad):
-        orbit = walk(quad)
-        assert quad in orbit
-        return orbit
-
-    members.family_size = walk.family_size
-    return members
 
 
 def _inverse_quad(F, cls):
@@ -309,13 +293,14 @@ def orbit_partition(F, cls):
     """The class block partitioned into sorted stabilizer orbits, in the
     order of their first quads in class_quads.  The zero rows keep
     u = lam^sigma under every move, so they form orbits of their own and
-    are scanned first.  The log grid is then scanned row by row with one
-    seen byte per quad, at k D + j for first = xi^k and column j of D, so
-    each orbit starts at its first unseen admissible cell.  A walk's
-    family of m images with first logs rho + t s fills rows k = rho mod s
-    of one column j, the slice [rho D + j :: s D] of m bytes, read off its
-    first image; the slice is asserted unseen before it is marked, so the
-    orbits are disjoint."""
+    are scanned first; each walk must reach its start quad.  A walk's
+    family of m images with first logs rho + t s, s = n/m, fills the rows
+    k = rho mod s of one column j of the log grid's D, so the grid keeps
+    one seen byte per family, at rho D + j, read off the family's first
+    image and asserted unseen before it is marked: the orbits are
+    disjoint.  drop(k, d) depends on k mod s only, so scanning the bytes
+    in order, rows k < s, meets each orbit at its first admissible quad
+    in class_quads; the byte it starts at must be marked by its walk."""
     walk = orbit_walker(F, cls)
     zero_rows, columns, drop = _log_grid(F, cls)
     exp, log, n = F.exp, F.log, F.size - 1
@@ -325,12 +310,13 @@ def orbit_partition(F, cls):
         if quad not in seen_rows:
             orbit = walk(quad)
             seen_rows.update(orbit)
+            assert quad in seen_rows, "a walk must reach its own quad"
             orbits.append(sorted(orbit))
     D = len(columns)
     column = {u: j for j, (u, _) in enumerate(columns)}
     m = walk.family_size
-    step, unseen, marked = n // m * D, bytes(m), b"\1" * m
-    seen = bytearray(n * D)
+    s = n // m
+    seen = bytearray(s * D)
     cell = seen.find(0)
     while cell >= 0:
         k, j = divmod(cell, D)
@@ -340,9 +326,10 @@ def orbit_partition(F, cls):
         else:
             orbit = walk((exp[k], exp[(d - k) % n], u))
             for first, _, w in orbit[::m]:
-                family = slice(log[first] * D + column[w], None, step)
-                assert seen[family] == unseen, "orbits must be disjoint"
-                seen[family] = marked
+                family = log[first] % s * D + column[w]
+                assert not seen[family], "orbits must be disjoint"
+                seen[family] = 1
+            assert seen[cell], "a walk must reach its own quad"
             orbits.append(sorted(orbit))
         cell = seen.find(0, cell + 1)
     return orbits
@@ -541,24 +528,22 @@ class OrbitRec:
     neg_selfdual: bool
 
 
-def _record_for(F, cls, orbit, ls, inverse):
-    """The record of one orbit.  x and the dual quad are built with the
-    class's lam^sigma ls, x with quad_matrix's admissibility check and the
-    dual quad with matrix_quad's asserts.  k and l are the orders of x's
+def _record_for(F, cls, orbit, inverse):
+    """The record of one orbit.  The pair (x, y) of its key is built by
+    quad_pair, with quad_matrix's admissibility check, and the dual quad
+    by matrix_quad, with its asserts.  k and l are the orders of x's
     class c_x, read by twisted_class, and of cls.  inverse, the class's
     _inverse_quad, names (x^-1, y^-1).  (y, x) and (y^-1, x^-1) lie in
     c_x, so only when c_x = cls does canonical_form(x) run: its witness
     carries (y, x) onto the dual quad, whose inverse names (y^-1, x^-1)."""
-    x = TwElem(F, _admissible_matrix(F, cls, ls, orbit[0]), 1)
-    y = canonical_rep(cls, F)
+    x, y = quad_pair(F, cls, orbit[0])
     members = set(orbit)
     q = F.p ** (F.m // 2)
     c_x = twisted_class(x)
     k, l = canonical_order(c_x, q), canonical_order(cls, q)
     pos_selfdual = neg_selfdual = False
     if c_x == cls:
-        dual = matrix_quad(F, cls, conjugate(y, canonical_form(x)[1]).matrix,
-                           ls)
+        dual = matrix_quad(F, cls, conjugate(y, canonical_form(x)[1]).matrix)
         pos_selfdual = dual in members
         neg_selfdual = inverse(dual) in members
     return OrbitRec(
@@ -571,13 +556,13 @@ def _record_for(F, cls, orbit, ls, inverse):
 
 def orbit_records(q, orbits):
     """Deterministically ordered OrbitRec rows for every orbit at one q;
-    lam^sigma and the inverse map are built once per class."""
+    the inverse map is built once per class."""
     p, f = odd_prime_power(q)
     F = make_field(p, 2 * f)
     out = []
     for cls, block in orbits.items():
-        ls, inverse = _lam_sigma(F, cls), _inverse_quad(F, cls)
-        out += (_record_for(F, cls, orbit, ls, inverse) for orbit in block)
+        inverse = _inverse_quad(F, cls)
+        out += (_record_for(F, cls, orbit, inverse) for orbit in block)
     return sorted(out)
 
 

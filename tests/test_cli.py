@@ -112,6 +112,28 @@ def test_count_too_long_to_print_is_a_resource_error(capsys):
     assert (code, out) == (0, COUNT_Q9)
 
 
+def test_count_refuses_long_counts_without_an_interpreter_limit(
+        capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits; the guard
+    # falls back to the default limit of 4300 digits
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code, out, err = run(capsys, ["count", "--p", "3", "--f", "2500"])
+    assert (code, out) == (3, "")
+    assert "4300 decimal digits" in err
+
+
+def test_count_refuses_long_counts_when_the_limit_is_switched_off():
+    # PYTHONINTMAXSTRDIGITS=0 lifts the interpreter's limit; without the
+    # fallback, building and printing 3^(10^8) outlasts the timeout
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONINTMAXSTRDIGITS="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistedmaps.cli", "count", "--p", "3",
+         "--f", "100000000"], env=env, capture_output=True, text=True,
+        timeout=30)
+    assert (proc.returncode, proc.stdout) == (3, "")
+
+
 def test_count_does_not_factor_the_q_it_builds(capsys):
     # q = 999983^716 has 4,296 digits: trial-dividing it took 1.3 s, where
     # checking p and f takes microseconds; its counts are too long to print
@@ -326,6 +348,22 @@ def test_selfdual_csv_column_contract(capsys):
     assert lines[0] == "q,form,k_eq_l,pos_sd,neg_sd,both"
     assert lines[1] == "3,dia,0,0,0,0"
     assert lines[2] == "3,off,3,3,3,3"
+
+
+def test_selfdual_notes_negatively_but_not_positively_self_dual(
+        capsys, monkeypatch):
+    # no q so far has such classes; the command reports them on stderr
+    # and still prints the table
+    cells = {"dia": (4, 2, 3, 1), "off": (5, 5, 2, 2)}
+    monkeypatch.setattr(oracle, "selfdual_cells", lambda records: cells)
+    code, out, err = run(capsys, ["selfdual", "--q", "3"])
+    assert code == 0
+    assert out == ("self-dual map classes at q=3\n"
+                   "  form      k=l      pos      neg     both\n"
+                   "  dia         4        2        3        1\n"
+                   "  off         5        5        2        2\n")
+    assert err == ("note: 2 negatively self-dual classes are not "
+                   "positively self-dual\n")
 
 
 def test_selfdual_infeasible_exit(capsys):

@@ -410,6 +410,32 @@ def test_move_families_are_cosets_of_one_size(monkeypatch, q):
             assert sorted(o1s) == list(range(r, n, n // m))
 
 
+@pytest.mark.parametrize("form", ["dia", "off"])
+def test_partition_asserts_each_walk_reaches_its_start(monkeypatch, F25,
+                                                       form):
+    # every walk leaves out the family of m images holding its start quad;
+    # a dia class has only the log grid, and an off class's scan starts at
+    # a zero row, so both places must fail
+    real = oracle._image_walk
+
+    def dropping(F, src, dst, moves):
+        walk = real(F, src, dst, moves)
+        m = walk.family_size
+
+        def dropped(quad):
+            images = walk(quad)
+            start = images.index(quad) // m * m
+            return images[:start] + images[start + m:]
+
+        dropped.family_size = m
+        return dropped
+
+    monkeypatch.setattr(oracle, "_image_walk", dropping)
+    cls = next(c for c in all_classes(5) if c.form == form)
+    with pytest.raises(AssertionError, match="a walk must reach its own quad"):
+        oracle.orbit_partition(F25, cls)
+
+
 def test_row_tables_match_the_field_operation_reference():
     # random matrices over GF(3^6), zero entries and singular ones included
     F = make_field(3, 6)
@@ -562,15 +588,16 @@ def test_records_name_inverse_pairs_without_conjugation(monkeypatch,
     assert quads[0] == 162
 
 
-def test_records_take_lam_sigma_once_per_class(monkeypatch, orbits9):
-    # orbit_records hands each class's lam^sigma to its records and their
-    # dual quads: one for the class and one for its inverse map (957, 790
-    # of them one per record key, when each record rebuilt x through
-    # quad_pair, and 172, 162 of them one per dual quad, when matrix_quad
-    # took its own)
+def test_records_take_lam_sigma_per_walker_key_and_dual_quad(monkeypatch,
+                                                             orbits9):
+    # lam^sigma is computed where it is read, in 0.3 us: once per class's
+    # inverse walker, once per record key (quad_pair) and once per dual
+    # quad (matrix_quad) of the 162 diagonal orbits
     calls = _count_calls(monkeypatch, oracle, "_lam_sigma")
     orbit_records(9, orbits9)
-    assert calls[0] == 2 * len(orbits9) == 10
+    assert len(orbits9) == 5
+    assert sum(map(len, orbits9.values())) == 790
+    assert calls[0] == 5 + 790 + 162 == 957
 
 
 _RECORDS_SHA256 = {
