@@ -20,13 +20,15 @@ against one class and written against another; _image_walk is the one
 loop that applies moves, by families whose moves share every value the
 shape and twist checks read, so each check runs once per family.  Each
 family is a coset of first offsets, so its images are strided slices of
-the exp table.  The stabilizer's moves walk an orbit (orbit_walker), one
-move names the inverse pair (_inverse_quad), and the moves of phi^j(g) w
-walk a Frobenius image's orbit (_frobenius_walk).  orbit_partition scans
-a class block's log grid (_log_grid) with one seen byte per family.  A
-record asks whether (x^-1, y^-1), (y, x) and (y^-1, x^-1) lie in its
-orbit; only (y, x) takes a canonical form, of x, where x shares y's class.
-Galois fusion names each image as a record is named, (class, least quad).
+the exp table, and each fills one cell, an int the walk reports.  The
+stabilizer's moves walk an orbit (orbit_walker), one move names the
+inverse pair (_inverse_quad), and one move names a Frobenius image, whose
+class's orbit_walker walks its orbit (_frobenius_walk).  orbit_partition
+scans the first quad of each cell of a class block (_log_grid) and keeps
+one seen set of the cells its walks report.  A record asks whether
+(x^-1, y^-1), (y, x) and (y^-1, x^-1) lie in its orbit; only (y, x)
+takes a canonical form, of x, where x shares y's class.  Galois fusion
+names each image as a record is named, (class, least quad).
 
 generated_level names the subfield level a pair generates by an order
 screen and a capped closure, and closure_order builds that subgroup on the
@@ -37,7 +39,7 @@ tests/reference.py, outside the package.
 """
 
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 
 from .canonical import (CanonClass, all_classes, canonical_form,
                         canonical_order, canonical_rep, is_exceptional,
@@ -177,9 +179,10 @@ def _log_move(F, cls, g, e=0, adj=False):
 
 
 def _image_walk(F, src, dst, moves):
-    """walk(quad): the images under log-form moves of the pair a quad
-    encodes against src, as a list of quads against dst, family by family.
-    Per walk the logs of A's entries are read off the quad and raised to
+    """walk(quad): (images, cells), the images under log-form moves of the
+    pair a quad encodes against src, as a list of quads against dst family
+    by family, and the cell each family fills, one int per family.  Per
+    walk the logs of A's entries are read off the quad and raised to
     each power the moves take.
 
     The moves are grouped into families that share the power, the four
@@ -193,12 +196,12 @@ def _image_walk(F, src, dst, moves):
     So a family's first logs are the residue class rho = b1 + r mod s,
     b1 = l1 - lc, its images are (exp[rho::s], the seconds, u) with the
     seconds a reversed slice of exp + exp at b1 + b2 + o12 - rho, and two
-    families share an image only if they share the cell (u, rho).  An off
-    row with a = 0 or d = 0 keeps u = lam^sigma, and its nonzero entry's
-    logs are the residue class rho = b1 + r (second = 0) or
-    b2 + o12 - r (first = 0) mod s, the cell (-1, rho) or (-2, rho).  The
-    walk asserts the cells distinct (semiregular).  walk.family_size is
-    m."""
+    families share an image only if they share the cell (u, rho), the int
+    log(u) s + rho.  An off row with a = 0 or d = 0 keeps u = lam^sigma,
+    and its nonzero entry's logs are the residue class rho = b1 + r
+    (second = 0) or b2 + o12 - r (first = 0) mod s, the cell -1 - rho or
+    -1 - s - rho.  The walk asserts the cells distinct (semiregular).
+    walk.family_size is m."""
     n = F.size - 1
     exp, log, zech = F.exp, F.log, F.zech
     exp2 = exp + exp
@@ -237,10 +240,11 @@ def _image_walk(F, src, dst, moves):
                 if l2 < 0:  # second = 0
                     rho = (b1 + r) % s
                     images += zip(exp[rho::s], repeat(0), repeat(ls))
+                    cells.append(-1 - rho)
                 else:  # first = 0
                     rho = (b2 + o12 - r) % s
                     images += zip(repeat(0), exp[rho::s], repeat(ls))
-                cells.append((-1 if l2 < 0 else -2, rho))
+                    cells.append(-1 - s - rho)
                 continue
             # e1 + e2 = b1 + b2 + o12; u = ls (1 + first second/ls)
             z = zech[(b1 + b2 + o12 - lls) % n]
@@ -250,88 +254,74 @@ def _image_walk(F, src, dst, moves):
             rho = (b1 + r) % s
             c = (b1 + b2 + o12 - rho) % n + n  # log of second at first xi^rho
             images += zip(exp[rho::s], exp2[c:c - n:-s], repeat(exp[lu]))
-            cells.append((lu, rho))
+            cells.append(lu * s + rho)
         assert len(set(cells)) == len(cells), "the action must be semiregular"
-        return images
+        return images, cells
 
     walk.family_size = m
     return walk
 
 
 def orbit_walker(F, cls):
-    """walk(quad): the quads in quad's stabilizer orbit, the stabilizer's
-    moves through _image_walk, as its list of families."""
+    """walk(quad): (images, cells) of the stabilizer's moves through
+    _image_walk, the images being the quads in quad's stabilizer orbit."""
     return _image_walk(F, cls, cls, [_log_move(F, cls, g)
                                      for g in stabilizer_elements(cls, F)])
 
 
 def _inverse_quad(F, cls):
-    """quad -> quad of the inverse pair (x^-1, y^-1): the move of [D, 0],
-    D = off(1, 1/lam), after inversion.  [D, 0] conjugates y^-1 =
-    rep(cls)^-1 onto rep(cls) for both forms, and conjugators of y^-1 onto
-    y differ by a stabilizer element, so any one names the same orbit."""
+    """quad -> quad of the inverse pair (x^-1, y^-1): the one image of the
+    move of [D, 0], D = off(1, 1/lam), after inversion.  [D, 0] conjugates
+    y^-1 = rep(cls)^-1 onto rep(cls) for both forms, and conjugators of
+    y^-1 onto y differ by a stabilizer element, so any one names the same
+    orbit."""
     D = TwElem(F, (0, 1, F.inv(F.pow(F.xi, cls.i)), 0), 0)
     walk = _image_walk(F, cls, cls, [_log_move(F, cls, D, F.m // 2, adj=True)])
-    return lambda quad: min(walk(quad))
+    return lambda quad: walk(quad)[0][0]
 
 
 def _frobenius_walk(F, cls, j):
     """(c, walk): walk(quad) is the orbit, as quads against c, of the image
     under phi^j of the pair a quad encodes against cls.  canonical_form
-    gives the class c of phi^j(rep(cls)) and a monomial witness w, and
-    phi^j(g) w, g in the stabilizer of rep(cls), runs over the conjugators
-    of phi^j(rep(cls)) onto rep(c): the moves reach the whole orbit."""
-    def phi(g):
-        return TwElem(F, mat_frob(F, g.matrix, j), g.i)
-
-    c, w = canonical_form(phi(canonical_rep(cls, F)))
-    return c, _image_walk(F, cls, c, [_log_move(F, c, phi(g) * w, j)
-                                      for g in stabilizer_elements(cls, F)])
+    gives the class c of phi^j(rep(cls)) and a monomial witness w; the move
+    x -> w^-1 phi^j(x) w carries the pair onto one against rep(c), and c's
+    own orbit_walker walks that image's orbit."""
+    rep = canonical_rep(cls, F)
+    c, w = canonical_form(TwElem(F, mat_frob(F, rep.matrix, j), rep.i))
+    image = _image_walk(F, cls, c, [_log_move(F, c, w, j)])
+    orbit = orbit_walker(F, c)
+    return c, lambda quad: orbit(image(quad)[0][0])[0]
 
 
 def orbit_partition(F, cls):
     """The class block partitioned into sorted stabilizer orbits, in the
-    order of their first quads in class_quads.  The zero rows keep
-    u = lam^sigma under every move, so they form orbits of their own and
-    are scanned first; each walk must reach its start quad.  A walk's
-    family of m images with first logs rho + t s, s = n/m, fills the rows
-    k = rho mod s of one column j of the log grid's D, so the grid keeps
-    one seen byte per family, at rho D + j, read off the family's first
-    image and asserted unseen before it is marked: the orbits are
-    disjoint.  drop(k, d) depends on k mod s only, so scanning the bytes
-    in order, rows k < s, meets each orbit at its first admissible quad
-    in class_quads; the byte it starts at must be marked by its walk."""
+    order of their first quads in class_quads.  A walk reports the cells
+    its families fill, ints log(u) s + rho on the log grid and -1 - rho
+    (second = 0) or -1 - s - rho (first = 0) on the zero rows, s = n/m;
+    every quad lies in one cell, and the cell's first quad in class_quads
+    has log(first), or on a zero row log t, below s.  drop(k, d) depends on
+    k mod s only, so the scan reads those first quads in class_quads order,
+    skipping dropped cells, and walks each whose cell is unseen: it meets
+    each orbit at its first quad.  The walk's cells must be unseen (the
+    orbits are disjoint) and must hold the start cell."""
     walk = orbit_walker(F, cls)
     zero_rows, columns, drop = _log_grid(F, cls)
     exp, log, n = F.exp, F.log, F.size - 1
+    s = n // walk.family_size
+    # zero_rows is (0, xi^t, ls), (xi^t, 0, ls) for t = 0, 1, ...
+    starts = chain(((quad, -1 - i // 2 - (0 if i % 2 else s))
+                    for i, quad in enumerate(zero_rows[:2 * s])),
+                   (((exp[k], exp[(d - k) % n], u), log[u] * s + k)
+                    for k in range(s) for u, d in columns if not drop(k, d)))
+    seen = set()
     orbits = []
-    seen_rows = set()
-    for quad in zero_rows:
-        if quad not in seen_rows:
-            orbit = walk(quad)
-            seen_rows.update(orbit)
-            assert quad in seen_rows, "a walk must reach its own quad"
+    for quad, cell in starts:
+        if cell not in seen:
+            orbit, cells = walk(quad)
+            assert seen.isdisjoint(cells), "orbits must be disjoint"
+            seen.update(cells)
+            assert cell in seen, "a walk must reach its own quad"
             orbits.append(sorted(orbit))
-    D = len(columns)
-    column = {u: j for j, (u, _) in enumerate(columns)}
-    m = walk.family_size
-    s = n // m
-    seen = bytearray(s * D)
-    cell = seen.find(0)
-    while cell >= 0:
-        k, j = divmod(cell, D)
-        u, d = columns[j]
-        if drop(k, d):
-            seen[cell] = 1
-        else:
-            orbit = walk((exp[k], exp[(d - k) % n], u))
-            for first, _, w in orbit[::m]:
-                family = log[first] % s * D + column[w]
-                assert not seen[family], "orbits must be disjoint"
-                seen[family] = 1
-            assert seen[cell], "a walk must reach its own quad"
-            orbits.append(sorted(orbit))
-        cell = seen.find(0, cell + 1)
     return orbits
 
 

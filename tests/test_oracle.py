@@ -239,7 +239,7 @@ def test_act_quad_keeps_each_orbit(F9, F25, F49, F81, orbits3, orbits5,
                 assert orbit == sorted(act_quad(F, cls, g, orbit[0])
                                        for g in stab)
                 for quad in orbit if every else [rng.choice(orbit)]:
-                    assert sorted(walk(quad)) == sorted(
+                    assert sorted(walk(quad)[0]) == sorted(
                         act_quad(F, cls, g, quad) for g in stab)
 
 
@@ -285,10 +285,7 @@ _PARTITION_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13,
-                               pytest.param(17, marks=pytest.mark.extended),
-                               pytest.param(19, marks=pytest.mark.extended),
-                               pytest.param(23, marks=pytest.mark.extended),
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23,
                                pytest.param(25, marks=pytest.mark.extended),
                                pytest.param(27, marks=pytest.mark.stretch)])
 def test_partition_matches_its_pinned_digest(q):
@@ -310,64 +307,79 @@ def _partition_digest(orbits):
     return h.hexdigest()
 
 
-def _walks_against_the_per_move_reference(monkeypatch, F, orbits, members):
+def _cell(F, s, quad):
+    """The cell a walk reports for the family holding a quad: log(u) s +
+    rho, rho = log(first) mod s, or -1 - rho (second = 0) or -1 - s - rho
+    (first = 0, rho = log(second) mod s) on a zero row."""
+    first, second, u = quad
+    if not second:
+        return -1 - F.log[first] % s
+    if not first:
+        return -1 - s - F.log[second] % s
+    return F.log[u] * s + F.log[first] % s
+
+
+def _walks_against_the_per_move_reference(monkeypatch, F, quads):
     """Run the stabilizer, inverse and Frobenius walks of every class from
-    the chosen members of each orbit, each _image_walk checked against the
-    per-move reference walk on the same moves as sorted lists, so repeated
-    images fail; returns the number of walks compared."""
+    each of quads(cls), drawn from class_quads and not from the partition,
+    each _image_walk checked against the per-move reference walk on the
+    same moves as sorted lists, so repeated images fail, and its cells
+    against the cells of its images; returns the number of walks
+    compared."""
     compared = [0]
     real = oracle._image_walk
 
     def checked(F, src, dst, moves):
         walk, ref = real(F, src, dst, moves), image_walk_by_move(F, src, dst,
                                                                  moves)
+        s = (F.size - 1) // walk.family_size
 
         def both(quad):
-            images = walk(quad)
+            images, cells = walk(quad)
             assert sorted(images) == sorted(ref(quad))
+            assert sorted(cells) == sorted({_cell(F, s, i) for i in images})
             compared[0] += 1
-            return images
+            return images, cells
 
         both.family_size = walk.family_size
         return both
 
     monkeypatch.setattr(oracle, "_image_walk", checked)
     f = F.m // 2
-    for cls, cls_orbits in orbits.items():
+    for cls in all_classes(F.p ** f):
         walks = [oracle.orbit_walker(F, cls), oracle._inverse_quad(F, cls)]
         walks += [oracle._frobenius_walk(F, cls, j)[1] for j in range(1, f)]
-        for orbit in cls_orbits:
-            for quad in members(orbit):
-                for walk in walks:
-                    walk(quad)
+        for quad in quads(cls):
+            for walk in walks:
+                walk(quad)
     return compared[0]
 
 
 def test_image_walk_matches_the_per_move_reference(monkeypatch, F9, F25, F49,
-                                                   F81, orbits3, orbits5,
-                                                   orbits7, orbits9):
+                                                   F81):
     # every quad at q <= 9: dia and off, generic and exceptional classes,
-    # and the Frobenius moves of f = 2 at q = 9, which alone make 15,680
-    # walks there
+    # and the Frobenius moves of f = 2 at q = 9, each one fixed move and
+    # the image class's stabilizer walk, which alone make 31,360 walks
     compared = [_walks_against_the_per_move_reference(
-        monkeypatch, F, orbits, lambda orbit: orbit)
-        for F, orbits in ((F9, orbits3), (F25, orbits5), (F49, orbits7),
-                          (F81, orbits9))]
-    assert compared == [2 * 56, 2 * 816, 2 * 4464, 3 * 15680]
+        monkeypatch, F, lambda cls, F=F: class_quads(F, cls))
+        for F in (F9, F25, F49, F81)]
+    assert compared == [2 * 56, 2 * 816, 2 * 4464, 4 * 15680]
 
 
 @pytest.mark.parametrize("q", [11, pytest.param(25,
                                                 marks=pytest.mark.extended)])
 def test_image_walk_matches_the_per_move_reference_sampled(monkeypatch, q):
-    # one seeded member per orbit; q = 11 adds a dia exceptional class and
-    # q = 25 the Frobenius moves of a second f = 2 field
+    # a seeded sample of a fixed number of quads per class; q = 11 adds a
+    # dia exceptional class and q = 25 the Frobenius moves of a second
+    # f = 2 field
+    size = {11: 300, 25: 4000}[q]
     p, f = odd_prime_power(q)
-    orbits = enumerate_orbits(q)
+    F = make_field(p, 2 * f)
     rng = random.Random(q)
     compared = _walks_against_the_per_move_reference(
-        monkeypatch, make_field(p, 2 * f), orbits,
-        lambda orbit: [rng.choice(orbit)])
-    assert compared == (f + 1) * sum(map(len, orbits.values()))
+        monkeypatch, F, lambda cls: rng.sample(list(class_quads(F, cls)),
+                                               size))
+    assert compared == 2 * f * size * len(all_classes(q))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 49,
@@ -395,7 +407,9 @@ def test_move_families_are_cosets_of_one_size(monkeypatch, q):
         oracle._inverse_quad(F, cls)
         for j in range(1, f):
             oracle._frobenius_walk(F, cls, j)
-    assert len(built) == (f + 1) * len(all_classes(q))
+    # per class the stabilizer's and the inverse's walkers, and per
+    # Frobenius power one fixed move and the image class's stabilizer walker
+    assert len(built) == 2 * f * len(all_classes(q))
     for m, moves in built:
         families = {}
         for k, ic, i1, i2, ish, o1, o2, osh in moves:
@@ -423,9 +437,10 @@ def test_partition_asserts_each_walk_reaches_its_start(monkeypatch, F25,
         m = walk.family_size
 
         def dropped(quad):
-            images = walk(quad)
-            start = images.index(quad) // m * m
-            return images[:start] + images[start + m:]
+            images, cells = walk(quad)
+            i = images.index(quad) // m  # family i is images[i m:(i + 1) m]
+            return (images[:i * m] + images[(i + 1) * m:],
+                    cells[:i] + cells[i + 1:])
 
         dropped.family_size = m
         return dropped
@@ -434,6 +449,33 @@ def test_partition_asserts_each_walk_reaches_its_start(monkeypatch, F25,
     cls = next(c for c in all_classes(5) if c.form == form)
     with pytest.raises(AssertionError, match="a walk must reach its own quad"):
         oracle.orbit_partition(F25, cls)
+
+
+def test_partition_asserts_zero_row_orbits_disjoint(monkeypatch, F25):
+    # every zero-row walk after the first also reports the first one's
+    # first family, its m images and its cell; the zero rows of class
+    # off 1 at q = 5 hold four orbits, so the second walk must fail
+    real = oracle._image_walk
+
+    def leaking(F, src, dst, moves):
+        walk = real(F, src, dst, moves)
+        m = walk.family_size
+        earlier = []
+
+        def leaked(quad):
+            images, cells = walk(quad)
+            if 0 in quad[:2]:  # a zero row
+                if earlier:
+                    return images + earlier[0], cells + earlier[1]
+                earlier[:] = images[:m], cells[:1]
+            return images, cells
+
+        leaked.family_size = m
+        return leaked
+
+    monkeypatch.setattr(oracle, "_image_walk", leaking)
+    with pytest.raises(AssertionError, match="orbits must be disjoint"):
+        oracle.orbit_partition(F25, CanonClass("off", 1))
 
 
 def test_row_tables_match_the_field_operation_reference():
@@ -483,10 +525,16 @@ def test_fusion_looks_up_images_once_per_bundle(records9, monkeypatch):
     assert {name: c[0] for name, c in calls.items()} == {
         "canonical_form": len(all_classes(9)), "quad_pair": 0,
         "conjugate": 0, "matrix_quad": 0}
-    # one Frobenius power at q = 9, so a class is one (class, j)
+    # one Frobenius power at q = 9: phi fixes off 5 and swaps dia 1 with
+    # dia 3 and off 1 with off 3.  A class c's lam^sigma is taken once as
+    # the source of its own fixed move and, by each class phi carries onto
+    # c, once as that move's destination (only when it differs) and once
+    # for c's stabilizer walker: 1 + 1 = 2 for off 5 and 1 + 1 + 1 = 3
+    # for each swapped class (at most 2 when each (class, j) took one
+    # walker of its own)
     per_class = Counter(lam_sigma)
     assert set(per_class) == set(all_classes(9))
-    assert max(per_class.values()) <= 2
+    assert [per_class[c] for c in all_classes(9)] == [3, 3, 3, 3, 2]
 
 
 def _check_frobenius_images(F, orbits, j, members):
@@ -503,7 +551,7 @@ def _check_frobenius_images(F, orbits, j, members):
                             for g in quad_pair(F, cls, quad))
                 ref_cls, ref = pair_key(F, *phi_pair)
                 assert ref_cls == c
-                assert sorted(walk(ref)) == sorted(images(quad)) == image
+                assert sorted(walk(ref)[0]) == sorted(images(quad)) == image
 
 
 def test_frobenius_images_match_the_reference_keys_q9(F81, orbits9):
@@ -570,8 +618,8 @@ def test_inverse_quad_names_the_inverse_pair_of_every_quad():
                 c, ref = pair_key(F, x.inv(), y.inv())
                 inv = inverse(quad)
                 assert inv == matrix_quad(F, cls, conjugate(x.inv(), D).matrix)
-                assert c == cls and inv in walk(ref)
-                assert inverse(inv) in walk(quad)
+                assert c == cls and inv in walk(ref)[0]
+                assert inverse(inv) in walk(quad)[0]
     assert len(kinds) == 4
 
 
